@@ -150,15 +150,13 @@ def test_table8_bitstate_keeps_up(generator, benchmark):
 
 
 def test_table8_compiled_transition_relation(generator, benchmark, tmp_path):
-    """The execution-tier axis: generated per-app Python modules and
-    closure-compiled handlers vs the tree-interpreter oracle, plus the
-    independence reduction.
+    """The execution-tier axis: generated per-app Python modules vs the
+    tree-interpreter oracle, plus the independence reduction.
 
-    The compiled default must not lose to the interpreter, the codegen
-    tier must clearly beat the closure compiler (it exists for exactly
-    that), and the reduction must shrink the transition count while
-    keeping the run violation-free (this system is violation-free by
-    construction).
+    The codegen tier must clearly beat the interpreter (it exists for
+    exactly that), and the reduction must shrink the transition count
+    while keeping the run violation-free (this system is violation-free
+    by construction).
     """
     system = five_app_system(generator)
     properties = select_relevant(system, build_properties())
@@ -175,26 +173,23 @@ def test_table8_compiled_transition_relation(generator, benchmark, tmp_path):
     run(**codegen_kwargs)  # warm the source cache before timing
     # tier samples are interleaved so slow drift on a shared runner
     # (thermal, noisy neighbours) biases no tier
-    codegen_runs, compiled_runs, interpreted_runs = [], [], []
+    codegen_runs, interpreted_runs = [], []
     for _ in range(3):
         codegen_runs.append(run(**codegen_kwargs))
-        compiled_runs.append(run())
-        interpreted_runs.append(run(compiled=False))
+        interpreted_runs.append(run(engine="interpreted"))
     codegen = best(codegen_runs)
-    compiled = best(compiled_runs)
     interpreted = best(interpreted_runs)
-    reduced = best([run(reduction=True), run(reduction=True)])
+    reduced = best([run(reduction=True, **codegen_kwargs)
+                    for _ in range(2)])
     benchmark.pedantic(lambda: run(**codegen_kwargs),
                        iterations=1, rounds=2)
 
     rows = [
-        ("codegen (generated modules)", codegen.states_explored,
+        ("codegen (default)", codegen.states_explored,
          codegen.transitions, "%.0f" % codegen.states_per_second),
-        ("compiled (default)", compiled.states_explored,
-         compiled.transitions, "%.0f" % compiled.states_per_second),
-        ("interpreted (--no-compile)", interpreted.states_explored,
+        ("interpreted (oracle)", interpreted.states_explored,
          interpreted.transitions, "%.0f" % interpreted.states_per_second),
-        ("compiled + reduction", reduced.states_explored,
+        ("codegen + reduction", reduced.states_explored,
          reduced.transitions, "%.0f" % reduced.states_per_second),
     ]
     print_table("Execution tiers at 3 events",
@@ -204,11 +199,6 @@ def test_table8_compiled_transition_relation(generator, benchmark, tmp_path):
             "states": codegen.states_explored,
             "transitions": codegen.transitions,
             "states_per_second": round(codegen.states_per_second, 1),
-        },
-        "compiled": {
-            "states": compiled.states_explored,
-            "transitions": compiled.transitions,
-            "states_per_second": round(compiled.states_per_second, 1),
         },
         "interpreted": {
             "states": interpreted.states_explored,
@@ -224,32 +214,24 @@ def test_table8_compiled_transition_relation(generator, benchmark, tmp_path):
     })
 
     # back-end equivalence on the same bounded space
-    assert compiled.states_explored == interpreted.states_explored
-    assert compiled.transitions == interpreted.transitions
-    assert (sorted(compiled.counterexamples)
-            == sorted(interpreted.counterexamples))
-    assert codegen.states_explored == compiled.states_explored
-    assert codegen.transitions == compiled.transitions
-    assert (sorted(codegen.counterexamples)
-            == sorted(compiled.counterexamples))
+    assert codegen.states_explored == interpreted.states_explored
+    assert codegen.transitions == interpreted.transitions
+    assert (list(codegen.counterexamples)
+            == list(interpreted.counterexamples))
     # the reduction prunes commuting orders and keeps soundness
     assert reduced.commutes_pruned > 0
-    assert reduced.transitions < compiled.transitions
+    assert reduced.transitions < codegen.transitions
     assert (reduced.violated_property_ids
-            == compiled.violated_property_ids)
-    # the back-ends are at parity on this cascade-light workload (the
-    # compiler's win grows with handler execution share); the assertion
-    # only guards against a real compiled-mode regression, with a bound
-    # generous enough for single-core shared-runner jitter
-    assert (compiled.states_per_second
-            >= interpreted.states_per_second * 0.6)
-    # the codegen tier's slab evaluation and pooled generated executors
-    # must deliver a clear win over the closure compiler on the same
-    # space - the speedup the tier exists for
+            == codegen.violated_property_ids)
+    # generated modules with pooled executors and the cascade-free
+    # sensor path must deliver a clear win over the oracle on the same
+    # space - the speedup the tier exists for.  The bar is the earlier
+    # "1.5x the closure-compiled tier" restated against the oracle:
+    # 1.5 x that tier's committed 1.043x ratio, rounded up
     assert (codegen.states_per_second
-            >= compiled.states_per_second * 1.5), (
-        "codegen %.0f st/s vs compiled %.0f st/s"
-        % (codegen.states_per_second, compiled.states_per_second))
+            >= interpreted.states_per_second * 1.57), (
+        "codegen %.0f st/s vs interpreted %.0f st/s"
+        % (codegen.states_per_second, interpreted.states_per_second))
 
 
 def test_table8_fingerprint_store_per_state_cost(generator, benchmark):

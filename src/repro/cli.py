@@ -29,7 +29,11 @@ import time
 from repro import build_system
 from repro.checker.trace import render_violation_log
 from repro.config.schema import SystemConfiguration
-from repro.engine.options import ENGINE_MODES
+from repro.engine.options import (
+    DEPRECATED_ENGINES,
+    ENGINE_MODES,
+    resolve_engine,
+)
 from repro.engine.partition import partitioner_names
 from repro.model.faults import scenario_names
 from repro.engine import (
@@ -69,6 +73,10 @@ def _load_configuration(source):
         raise SystemExit(
             "no such configuration %r (not a file, and bundled groups are: "
             "%s)" % (source, ", ".join(sorted(GROUP_BUILDERS))))
+    except ValueError as exc:  # empty or malformed JSON, undecodable bytes
+        sys.stderr.write("repro: %s is not a valid configuration file: %s\n"
+                         % (source, exc))
+        raise SystemExit(2)
 
 
 def cmd_apps(args):
@@ -357,9 +365,7 @@ def _submit_payload(args):
             "visited": args.visited,
             "strategy": args.strategy,
             "max_states": args.max_states,
-            "compiled": not args.no_compile,
             "successor_cache": not args.no_successor_cache,
-            "slab_size": args.slab_size,
             "cache_limit": args.cache_limit,
             "cache_min_hit_rate": args.cache_min_hit_rate,
             "reduction": args.reduction,
@@ -530,25 +536,19 @@ def _add_engine_arguments(parser):
                         default="dfs",
                         help="frontier strategy (search order)")
     parser.add_argument("--max-states", type=int, default=200000)
-    parser.add_argument("--engine", choices=list(ENGINE_MODES), default=None,
+    parser.add_argument("--engine",
+                        choices=list(ENGINE_MODES) + list(DEPRECATED_ENGINES),
+                        default=None,
                         help="execution tier for the transition relation: "
-                             "interpreted (tree-walking oracle), compiled "
-                             "(closure compiler; the default) or codegen "
-                             "(per-app generated Python modules with slab "
-                             "evaluation - the fastest tier).  Verdicts and "
-                             "traces are identical across tiers")
+                             "codegen (per-app generated Python modules; "
+                             "the default) or interpreted (the tree-walking "
+                             "oracle).  Verdicts and traces are identical "
+                             "across tiers; 'compiled' is a deprecated "
+                             "alias of codegen")
     parser.add_argument("--codegen-cache", default=None, metavar="DIR",
                         help="directory for digest-keyed generated modules "
                              "(default: $REPRO_CODEGEN_CACHE or "
                              "~/.cache/repro/codegen)")
-    parser.add_argument("--slab-size", type=int, default=64,
-                        help="frontier nodes drained per batch by the "
-                             "codegen tier (1 = node-at-a-time)")
-    parser.add_argument("--no-compile", action="store_true",
-                        help="run handlers through the tree interpreter "
-                             "instead of the closure compiler (the "
-                             "differential-testing oracle; alias for "
-                             "--engine interpreted)")
     parser.add_argument("--no-successor-cache", action="store_true",
                         help="disable the per-state transition memo")
     parser.add_argument("--cache-limit", type=int, default=100000,
@@ -598,14 +598,11 @@ def _engine_options(args):
     """
     shard_workers = (getattr(args, "shard_workers", None)
                      or getattr(args, "engine_workers", None) or 1)
-    engine = args.engine or ("interpreted" if args.no_compile
-                             else "compiled")
     return EngineOptions(max_events=args.max_events, mode=args.mode,
                          visited=args.visited, strategy=args.strategy,
                          max_states=args.max_states,
-                         engine=engine,
+                         engine=args.engine,
                          codegen_cache=args.codegen_cache,
-                         slab_size=args.slab_size,
                          successor_cache=not args.no_successor_cache,
                          cache_limit=args.cache_limit,
                          cache_min_hit_rate=args.cache_min_hit_rate,
@@ -827,6 +824,9 @@ def main(argv=None):
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "engine", None) in DEPRECATED_ENGINES:
+        # warned once here; everything downstream sees the real tier
+        args.engine = resolve_engine(args.engine)
     return args.func(args)
 
 

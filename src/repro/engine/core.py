@@ -233,7 +233,7 @@ class ExplorationEngine:
         #: live telemetry session (opened per run; None when disabled)
         self._telemetry = None
         #: the codegen tier's plan (generated programs + pooled
-        #: executors + lean relation); None on the other tiers
+        #: executors + lean relation); None on the interpreted tier
         self._plan = None
         #: per-phase wall time (``codegen`` setup, ``canonicalize``);
         #: merged into ``result.profile`` by ``_finish``
@@ -280,9 +280,8 @@ class ExplorationEngine:
         applies the per-run execution back-end choice to the system.
         """
         options = self.options
-        # the execution back-end is a per-run choice (--no-compile flips
-        # the same system back to the tree-interpreter oracle)
-        self.system.use_compiled = options.compiled
+        # the execution back-end is a per-run choice (--engine
+        # interpreted runs the same system on the tree-interpreter oracle)
         self.system.executor_factory = None
         self._plan = None
         if options.engine == "codegen":
@@ -351,97 +350,72 @@ class ExplorationEngine:
             snapshot_gap = telemetry.config.snapshot_gap(check_interval)
             next_snapshot = snapshot_gap
 
-        # the codegen tier drains the frontier slab-at-a-time: a batch
-        # of nodes is popped together and its cache misses evaluate
-        # event-class-major through the lean relation.  Per-node
-        # transition lists are identical to the node-at-a-time path;
-        # only the node *expansion* order changes, which the engine's
-        # order-invariant recording already absorbs (it is the same
-        # freedom a frontier strategy or a sharded run exercises).
-        slab_size = 1
-        if self._plan is not None and options.mode != CONCURRENT:
-            slab_size = max(1, options.slab_size)
-
         while frontier:
+            # a limit tripped mid-expansion breaks the transition loop
+            # below and is seen again here
             if self._limits_hit(result, started):
                 break
-            nodes = [frontier.pop()]
-            while len(nodes) < slab_size and frontier:
-                nodes.append(frontier.pop())
-            if slab_size > 1:
-                expansions = self._slab_expansions(nodes, cache, reducer,
-                                                   result)
-            else:
-                expansions = (self._node_transitions(nodes[0], cache,
-                                                     reducer, result),)
-            aborted = False
-            for node, transitions in zip(nodes, expansions):
-                # event keys already expanded from this node, in order
-                # (the sleep sets of later siblings absorb the
-                # independent ones)
-                expanded_keys = [] if reducer is not None else None
-                for transition in transitions:
-                    label, new_state, consumed, violations, steps = transition
-                    result.transitions += 1
-                    depth = node.depth + (1 if consumed else 0)
-                    child_sleep = None
-                    if reducer is not None:
-                        child_sleep = self._child_sleep(node, reducer, label,
-                                                        expanded_keys)
-                    # nodes exist for path reconstruction; duplicates that
-                    # neither violate nor get expanded never need one
-                    child = None
-                    if violations:
-                        child = _Node(new_state, depth, parent=node,
-                                      label=label, steps=steps,
-                                      sleep=child_sleep)
-                        self._record(result, child, violations)
-                        if options.stop_on_first:
-                            return self._finish(result, visited, cache,
-                                                started)
-                    if depth <= options.max_events:
-                        if matcher is None:
-                            # states_explored counts *distinct* states (an
-                            # order-independent metric: depth-improved
-                            # revisits re-expand but do not re-count), so a
-                            # sharded run sums to the single-worker number
-                            fresh = not visited.seen_state(new_state, depth)
-                            if fresh and count_distinct is not None:
-                                now = count_distinct()
-                                is_new = now > last_distinct
-                                last_distinct = now
-                            else:
-                                is_new = fresh
+            node = frontier.pop()
+            # event keys already expanded from this node, in order (the
+            # sleep sets of later siblings absorb the independent ones)
+            expanded_keys = [] if reducer is not None else None
+            for transition in self._node_transitions(node, cache, reducer,
+                                                     result):
+                label, new_state, consumed, violations, steps = transition
+                result.transitions += 1
+                depth = node.depth + (1 if consumed else 0)
+                child_sleep = None
+                if reducer is not None:
+                    child_sleep = self._child_sleep(node, reducer, label,
+                                                    expanded_keys)
+                # nodes exist for path reconstruction; duplicates that
+                # neither violate nor get expanded never need one
+                child = None
+                if violations:
+                    child = _Node(new_state, depth, parent=node,
+                                  label=label, steps=steps,
+                                  sleep=child_sleep)
+                    self._record(result, child, violations)
+                    if options.stop_on_first:
+                        return self._finish(result, visited, cache, started)
+                if depth <= options.max_events:
+                    if matcher is None:
+                        # states_explored counts *distinct* states (an
+                        # order-independent metric: depth-improved
+                        # revisits re-expand but do not re-count), so a
+                        # sharded run sums to the single-worker number
+                        fresh = not visited.seen_state(new_state, depth)
+                        if fresh and count_distinct is not None:
+                            now = count_distinct()
+                            is_new = now > last_distinct
+                            last_distinct = now
                         else:
-                            pruned, child_sleep, is_new = matcher.seen_state(
-                                new_state, depth, child_sleep)
-                            fresh = not pruned
-                        if fresh:
-                            if is_new:
-                                result.states_explored += 1
-                            if depth < options.max_events or new_state.pending:
-                                if child is None:
-                                    child = _Node(new_state, depth,
-                                                  parent=node, label=label,
-                                                  steps=steps)
-                                child.sleep = child_sleep
-                                frontier.push(child)
-                    if self._cheap_limits_hit(result):
-                        aborted = True
-                        break
-                    if result.transitions >= next_time_check:
-                        next_time_check = result.transitions + check_interval
-                        if (telemetry is not None
-                                and result.transitions >= next_snapshot):
-                            next_snapshot = result.transitions + snapshot_gap
-                            telemetry.snapshot(self._progress_fields(
-                                result, frontier, visited, cache,
-                                node.depth, time.monotonic() - started))
-                        if self._time_limit_hit(result, started):
-                            aborted = True
-                            break
-                if aborted:
+                            is_new = fresh
+                    else:
+                        pruned, child_sleep, is_new = matcher.seen_state(
+                            new_state, depth, child_sleep)
+                        fresh = not pruned
+                    if fresh:
+                        if is_new:
+                            result.states_explored += 1
+                        if depth < options.max_events or new_state.pending:
+                            if child is None:
+                                child = _Node(new_state, depth, parent=node,
+                                              label=label, steps=steps)
+                            child.sleep = child_sleep
+                            frontier.push(child)
+                if self._cheap_limits_hit(result):
                     break
+                if result.transitions >= next_time_check:
+                    next_time_check = result.transitions + check_interval
+                    if (telemetry is not None
+                            and result.transitions >= next_snapshot):
+                        next_snapshot = result.transitions + snapshot_gap
+                        telemetry.snapshot(self._progress_fields(
+                            result, frontier, visited, cache, node.depth,
+                            time.monotonic() - started))
+                    if self._time_limit_hit(result, started):
+                        break
 
         return self._finish(result, visited, cache, started)
 
@@ -542,52 +516,6 @@ class ExplorationEngine:
             yield (label, new_state, consumed,
                    [v.clone() for v in violations] if violations else (),
                    steps)
-
-    def _slab_expansions(self, nodes, cache, reducer, result):
-        """Transition lists for a whole frontier slab (codegen tier).
-
-        Cache lookups, empty-expansion stores and recorded entries are
-        exactly what the node-at-a-time path would produce; only the
-        evaluation of the cache misses is batched (event-class-major)
-        through the plan's lean relation.
-        """
-        options = self.options
-        out = [()] * len(nodes)
-        jobs = []
-        slots = []
-        for index, node in enumerate(nodes):
-            event_filter = self._sleep_filter(node, reducer, result)
-            cache_key = None
-            if cache is not None and cache.enabled:
-                if node.key is None:
-                    node.key = node.state.fingerprint()
-                cache_key = (node.key, node.sleep)
-                entry = cache.lookup(cache_key)
-                if entry is not None:
-                    out[index] = self._replay_transitions(entry)
-                    continue
-                if not cache.enabled:  # the lookup tripped the watchdog
-                    cache_key = None
-            if node.depth >= options.max_events:
-                if cache_key is not None and cache.capacity > 0:
-                    cache.store(cache_key, [])
-                continue
-            jobs.append((node.state, event_filter, None))
-            slots.append((index, cache_key))
-        if not jobs:
-            return out
-        evaluated = self._plan.evaluate_slab(jobs, self._monitor_factory)
-        for (index, cache_key), transitions in zip(slots, evaluated):
-            out[index] = transitions
-            if (cache_key is not None and cache.enabled
-                    and cache.capacity > 0):
-                cache.store(cache_key, [
-                    (label, new_state, consumed,
-                     tuple(v.clone() for v in violations)
-                     if violations else (), steps)
-                    for label, new_state, consumed, violations, steps
-                    in transitions])
-        return out
 
     def _search_transitions_from(self, node, event_filter=None):
         """The relation the search loop expands: the codegen plan's
@@ -710,6 +638,13 @@ class ExplorationEngine:
                 # skeleton too would duplicate the violation under a
                 # stale key whenever the replayed steps refine it
                 result.counterexamples[key] = counterexample
+        # a replay records *every* violation of its final transition, so
+        # keys land in replay order; restore the search's discovery order
+        # (the order the interpreted oracle reports)
+        rebuilt = result.counterexamples
+        result.counterexamples = {key: rebuilt[key] for key in backup
+                                  if key in rebuilt}
+        result.counterexamples.update(rebuilt)
 
     def _canonicalize_traces(self, result):
         """Make recorded traces independent of the expansion order.

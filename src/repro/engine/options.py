@@ -1,5 +1,7 @@
 """Tunables for one exploration run."""
 
+import sys
+
 from repro.engine import strategy as _strategy
 
 SEQUENTIAL = "sequential"
@@ -9,8 +11,31 @@ SWARM = "swarm"
 #: the legal ``EngineOptions.mode`` values
 EXPLORATION_MODES = (SEQUENTIAL, CONCURRENT, SWARM)
 
-#: execution tiers for the transition relation, slowest to fastest
-ENGINE_MODES = ("interpreted", "compiled", "codegen")
+#: execution tiers for the transition relation: the tree-interpreter
+#: oracle and the generated-module fast tier (the default)
+ENGINE_MODES = ("interpreted", "codegen")
+
+#: retired tier names still accepted for one release, with a warning
+DEPRECATED_ENGINES = {"compiled": "codegen"}
+
+
+def resolve_engine(engine):
+    """The tier an ``engine`` name selects (``None``: the default).
+
+    A deprecated alias maps to its replacement and writes one warning
+    line to stderr; any other unknown name raises ``ValueError``.
+    """
+    if engine is None:
+        return "codegen"
+    if engine in DEPRECATED_ENGINES:
+        replacement = DEPRECATED_ENGINES[engine]
+        sys.stderr.write("warning: engine %r is deprecated and runs as %r\n"
+                         % (engine, replacement))
+        return replacement
+    if engine not in ENGINE_MODES:
+        raise ValueError("unknown engine %r (known: %s)"
+                         % (engine, ", ".join(ENGINE_MODES)))
+    return engine
 
 
 # Store constructors import lazily: repro.checker re-exports the engine
@@ -95,38 +120,27 @@ class EngineOptions:
     exhaustive coverage with peak RSS bounded by its caches instead of
     the state count; see ``spill_dir``).
 
-    The compiled-transition-relation knobs:
+    The transition-relation knobs:
 
     ``engine``
         Which execution tier evaluates the transition relation:
-        ``interpreted`` walks the handler IR through the tree
-        interpreter (the differential oracle, ``--no-compile``),
-        ``compiled`` (the default) runs the closure compiler
-        (:mod:`repro.model.compiler`), and ``codegen`` generates one
-        real Python module per app from the lowered IR
-        (:mod:`repro.model.codegen`), ``compile()``/``exec``'s it, and
-        additionally evaluates successors through a traceless lean
-        cascade with pooled executors and slab-drained frontier
-        batches.  A pure performance knob: all three tiers produce
-        byte-identical verdicts, violation sets and canonical traces
-        (proven corpus-wide by the differential suites), so the choice
-        is excluded from the vetting service's semantic digests.
-    ``compiled``
-        Legacy boolean view of ``engine`` kept for callers predating
-        the three-tier split: reading it asks "anything faster than the
-        interpreter?"; assigning ``True``/``False`` selects
-        ``compiled``/``interpreted``.
+        ``codegen`` (the default) generates one real Python module per
+        app from the lowered IR (:mod:`repro.model.codegen`),
+        ``compile()``/``exec``'s it, and evaluates successors through a
+        traceless lean cascade with pooled executors; ``interpreted``
+        walks the handler IR through the tree interpreter (the
+        differential oracle).  A pure performance knob: both tiers
+        produce byte-identical verdicts, ordered violation lists and
+        canonical traces (proven corpus-wide by the differential
+        suites), so the choice is excluded from the vetting service's
+        semantic digests.  ``compiled``, the retired closure-compiler
+        tier, is accepted as a deprecated alias of ``codegen``.
     ``codegen_cache``
         Directory for generated per-app modules, keyed by the system's
         semantic digest (``None``: ``$REPRO_CODEGEN_CACHE`` or
         ``~/.cache/repro/codegen``).  Sharded workers regenerate their
         executors from this cache by digest instead of pickling
         closures.
-    ``slab_size``
-        How many frontier nodes the codegen tier drains per batch
-        through the lean transition relation (successor-cache misses
-        are evaluated slab-at-a-time, event-class-major).  ``1``
-        restores strict node-at-a-time order.
     ``successor_cache``
         Memoize each expanded state's full transition set keyed by its
         64-bit fingerprint, so depth-improved revisits replay successors
@@ -225,8 +239,8 @@ class EngineOptions:
     def __init__(self, max_events=3, mode=SEQUENTIAL, visited="fingerprint",
                  bitstate_bits=23, max_states=200000, max_transitions=None,
                  time_limit=None, stop_on_first=False, strategy="dfs",
-                 priority=None, compiled=None, engine=None,
-                 codegen_cache=None, slab_size=64, successor_cache=True,
+                 priority=None, engine=None, codegen_cache=None,
+                 successor_cache=True,
                  cache_limit=100000, cache_min_hit_rate=0.05,
                  cache_warmup=4096, reduction=False, check_interval=256,
                  manage_gc=True, workers=1, partition="locality",
@@ -252,15 +266,8 @@ class EngineOptions:
         self.stop_on_first = stop_on_first
         self.strategy = strategy
         self.priority = priority
-        if engine is None:
-            engine = "compiled" if (compiled is None or compiled) \
-                else "interpreted"
-        if engine not in ENGINE_MODES:
-            raise ValueError("unknown engine %r (known: %s)"
-                             % (engine, ", ".join(ENGINE_MODES)))
-        self.engine = engine
+        self.engine = resolve_engine(engine)
         self.codegen_cache = codegen_cache
-        self.slab_size = slab_size
         self.successor_cache = successor_cache
         self.cache_limit = cache_limit
         self.cache_min_hit_rate = cache_min_hit_rate
@@ -286,14 +293,6 @@ class EngineOptions:
         # the telemetry request is declarative data, never a live handle
         from repro.obs.telemetry import resolve_telemetry
         self.telemetry = resolve_telemetry(telemetry)
-
-    @property
-    def compiled(self):
-        return self.engine != "interpreted"
-
-    @compiled.setter
-    def compiled(self, value):
-        self.engine = "compiled" if value else "interpreted"
 
     def make_visited(self, system=None):
         """Build the selected visited store (some stores need the

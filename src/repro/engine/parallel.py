@@ -1176,7 +1176,6 @@ def _rebuild_counterexamples(job, merged, candidates):
 
     system, properties = build_job_context(job)
     engine = ExplorationEngine(system, properties, job.options)
-    engine.system.use_compiled = job.options.compiled
     if job.options.engine == "codegen":
         # replay through the same generated executors the shards ran
         # (regenerated from the digest-keyed source cache, not pickled)

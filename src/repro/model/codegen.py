@@ -1,27 +1,29 @@
 """Source-level code generation of the transition relation.
 
-The closure compiler (:mod:`repro.model.compiler`) removed AST dispatch
-but still interprets Python *objects* per event.  This module goes one
-tier further, in the spirit of SPIN generating a C ``pan`` verifier from
-the model: it emits one real Python **module** per app from the lowered
-handler IR - straight-line functions specialized against the concrete
+The tree interpreter (:mod:`repro.model.interpreter`) re-walks the
+lowered Groovy AST on every handler invocation.  This module, in the
+spirit of SPIN generating a C ``pan`` verifier from the model, emits one
+real Python **module** per app from the lowered handler IR -
+straight-line functions specialized against the concrete
 :class:`~repro.model.system.IoTSystem` - then ``compile()``/``exec``'s
-the source so handlers execute as ordinary CPython bytecode.
+the source so handlers execute as ordinary CPython bytecode.  It is the
+one fast execution tier; the interpreter stays as the differential
+oracle.
 
 Three cooperating layers:
 
-* :class:`SourceEmitter` mirrors the closure compiler node-for-node and
-  emits deterministic Python source.  Control flow (``if``/``while``/
-  ``for``/``switch``/``try``) becomes native Python control flow; known
-  intra-app calls dispatch **statically** (the callee is resolved to its
-  generated function at generation time); scope chains, platform APIs
-  and Groovy operator semantics route through the same
-  :class:`~repro.model.interpreter.Interpreter` helpers both other tiers
-  use, keeping the interpreter a meaningful differential oracle.
-* :class:`GeneratedExecutor` subclasses :class:`CompiledExecutor`, so
-  entry points and semantic helpers are shared; it adds the small
-  ``_g_*`` runtime surface the generated code calls and - unlike the
-  per-handler-run construction of the other tiers - supports
+* :class:`SourceEmitter` emits deterministic Python source.  Control
+  flow (``if``/``while``/``for``/``switch``/``try``) becomes native
+  Python control flow; known intra-app calls dispatch **statically**
+  (the callee is resolved to its generated function at generation
+  time); scope chains, platform APIs and Groovy operator semantics
+  route through the same :class:`~repro.model.interpreter.Interpreter`
+  helpers the oracle uses, keeping it a meaningful differential oracle.
+* :class:`GeneratedExecutor` subclasses :class:`Interpreter`, so every
+  semantic helper is shared; it replaces the AST-walking entry points
+  with calls into the generated functions, adds the small ``_g_*``
+  runtime surface the generated code calls and - unlike the
+  per-handler-run construction of the interpreter - supports
   :meth:`~GeneratedExecutor.rebind` pooling: the environment is built
   once and re-armed per handler run with two dict copies.
 * :class:`CodegenPlan` owns a system's generated programs, the executor
@@ -29,7 +31,7 @@ Three cooperating layers:
   transition relation: a traceless :class:`Cascade` subclass that skips
   all ``TraceStep`` recording and label formatting during search
   (violating paths are replayed through the traced relation by the
-  engine, so reported traces are byte-identical to the other tiers).
+  engine, so reported traces are byte-identical to the oracle's).
 
 Generated sources are cached under ``~/.cache/repro/codegen/<digest>/``
 (override with ``EngineOptions.codegen_cache`` or the
@@ -38,14 +40,14 @@ semantic digest: generation is pay-once-per-corpus, and sharded workers
 regenerate executors from the cache by digest instead of pickling
 closures.  Emission is deterministic - a fixed digest maps to
 byte-identical module text - so cached modules can be linted and
-diffed.  Apps whose IR defeats the emitter fall back to the closure
-compiler (or the interpreter) exactly like :meth:`Cascade._executor`.
+diffed.  Apps whose IR defeats the emitter run on the interpreter.
 """
 
 import hashlib
 import io
 import os
 import tempfile
+from collections import OrderedDict
 
 from repro.checker.violations import TraceStep
 from repro.groovy import ast
@@ -59,12 +61,6 @@ from repro.model.cascade import (
     _coerce_attribute_value,
     _freeze_arg,
 )
-from repro.model.compiler import (
-    CompiledClosure,
-    CompiledExecutor,
-    CompiledMethod,
-    CompiledProgram,
-)
 from repro.model.events import APP, DEVICE, LOCATION, Event, ExternalEvent
 from repro.model.handles import DeviceHandle, EventHandle
 from repro.model.interpreter import (
@@ -75,18 +71,20 @@ from repro.model.interpreter import (
     _Break,
     _Continue,
     _GroovyThrow,
+    _Return,
     assign_index_value,
     assign_property_value,
     get_property_value,
     index_value,
 )
-from repro.model.schema import ABSENT
 from repro.translator.builtins import is_groovy_truthy, to_groovy_string
 
 __all__ = [
     "CODEGEN_SCHEMA_VERSION",
+    "PROGRAM_MEMO_SIZE",
     "CodegenError",
     "CodegenPlan",
+    "GenClosure",
     "GeneratedExecutor",
     "GeneratedProgram",
     "GenMethod",
@@ -94,16 +92,23 @@ __all__ = [
     "SourceEmitter",
     "default_cache_dir",
     "generate_source",
+    "load_program",
 ]
 
 #: bumped whenever emitted-source semantics change; part of the cache
 #: directory name so stale modules from an older emitter never load
-CODEGEN_SCHEMA_VERSION = 1
+#: (v2: closure literals construct :class:`GenClosure`)
+CODEGEN_SCHEMA_VERSION = 2
+
+#: generated programs :func:`load_program` keeps in memory, least
+#: recently used evicted first (a long-lived service vets an unbounded
+#: stream of systems; evicted programs reload from the disk cache)
+PROGRAM_MEMO_SIZE = 512
 
 
 class CodegenError(Exception):
     """Raised when an app's IR contains a construct we cannot emit
-    (callers fall back to the closure compiler / interpreter)."""
+    (callers fall back to the interpreter)."""
 
 
 class _Pos:
@@ -122,8 +127,7 @@ class _Pos:
 
 class GenParam:
     """A generated method/closure parameter (name only: default thunks
-    live in the method's ``defaults`` tuple, exactly like the closure
-    compiler's :class:`CompiledMethod`)."""
+    live in the method's ``defaults`` tuple)."""
 
     __slots__ = ("name",)
 
@@ -134,18 +138,42 @@ class GenParam:
         return "GenParam(%r)" % (self.name,)
 
 
-#: generated methods reuse the compiled-method record: ``(name, params,
-#: defaults, body)`` with ``body`` a module-level generated function
-GenMethod = CompiledMethod
+class GenMethod:
+    """One generated method: parameters, default thunks, and ``body``, a
+    module-level generated function ``fn(rt, scopes) -> value``."""
+
+    __slots__ = ("name", "params", "defaults", "body")
+
+    def __init__(self, name, params, defaults, body):
+        self.name = name
+        self.params = params
+        self.defaults = defaults
+        self.body = body
+
+    def __repr__(self):
+        return "GenMethod(%r)" % (self.name,)
 
 
-class GeneratedProgram(CompiledProgram):
+class GenClosure(ClosureValue):
+    """A closure literal whose body is a generated function.
+
+    Subclasses :class:`ClosureValue` so every ``isinstance`` check in the
+    shared interpreter machinery (``_invoke_on``, ``_handler_arg``, the
+    local-closure call path) treats it like an ordinary closure value;
+    ``body`` holds the generated ``fn(rt, scopes)`` instead of an AST
+    block.
+    """
+
+    __slots__ = ()
+
+
+class GeneratedProgram:
     """All generated methods of one app, plus cache provenance."""
 
-    __slots__ = ("app_name", "source_path")
+    __slots__ = ("methods", "app_name", "source_path")
 
     def __init__(self, methods, app_name, source_path=None):
-        super().__init__(methods)
+        self.methods = methods
         self.app_name = app_name
         self.source_path = source_path
 
@@ -193,17 +221,21 @@ class _Writer:
 class SourceEmitter:
     """Emits one deterministic Python module from an app's lowered IR.
 
-    Mirrors :class:`repro.model.compiler._Compiler` construct-for-
-    construct; every semantic decision below cites the closure compiler
-    behaviour it reproduces.  Statement emission returns ``True`` when
-    the emitted code definitely left the function (``return``/``raise``/
-    ``break``/``continue`` on every path we emit), which is how tail
-    blocks decide whether a trailing ``return None`` is needed.
+    Mirrors the interpreter's ``_exec_*``/``_eval_*`` rules construct
+    for construct, with two divergences by design: the operation budget
+    ticks once per *statement* and per loop iteration instead of per AST
+    node (runaway loops still trip it), and a construct the emitter
+    cannot handle raises :class:`CodegenError` at generation time, so
+    the whole app runs on the interpreter instead.  Statement emission
+    returns ``True`` when the emitted code definitely left the function
+    (``return``/``raise``/``break``/``continue`` on every path we emit),
+    which is how tail blocks decide whether a trailing ``return None``
+    is needed.
     """
 
     def __init__(self, program):
         self.program = program
-        # later definitions win, exactly like ``compile_program``'s dict
+        # later definitions win, exactly like ``AppInstance._methods``
         self.methods_by_name = {m.name: m for m in program.methods}
         self.functions = []       # finished function line-lists, in order
         self.positions = {}       # (line, col) -> "_P<n>"
@@ -295,7 +327,7 @@ class SourceEmitter:
 
     def _emit_function(self, fn, block):
         """One ``def fn(rt, s0)`` whose body is the block in tail
-        position (mirrors ``_call_compiled``/``invoke_closure`` calling
+        position (mirrors ``_call_generated``/``invoke_closure`` calling
         ``body(self, [scope])`` and returning its value)."""
         w = _Writer()
         w.lines.append("def %s(rt, s0):" % fn)
@@ -466,7 +498,7 @@ class SourceEmitter:
             w.emit("break")
         else:
             # nearest handler is a switch arm (or the function boundary):
-            # raise, as both other tiers do
+            # raise, as the interpreter does
             self.used.add("_Break")
             w.emit("raise _Break()")
         return True
@@ -566,7 +598,7 @@ class SourceEmitter:
         return True
 
     def _stmt_MethodDef(self, w, stmt, sv, hctx, tail):
-        w.emit("pass")  # nested defs are ignored, as in both other tiers
+        w.emit("pass")  # nested defs are ignored, as in the interpreter
         return False
 
     # -- expressions ---------------------------------------------------
@@ -614,7 +646,7 @@ class SourceEmitter:
                                         self._expr(w, expr.hi, sv))
 
     def _expr_Property(self, w, expr, sv):
-        # null-tolerant whether safe or not, matching both other tiers
+        # null-tolerant whether safe or not, matching the interpreter
         self.used.add("get_property_value")
         tmp = self._tmp("o")
         return ("(get_property_value(%s, %r) if (%s := %s) is not None "
@@ -627,14 +659,14 @@ class SourceEmitter:
                                         self._expr(w, expr.index, sv))
 
     def _expr_Closure(self, w, expr, sv):
-        self.used.add("CompiledClosure")
+        self.used.add("GenClosure")
         fn = self._tmp("c")
         self._emit_function(fn, expr.body)
         params = ", ".join("GenParam(%r)" % p.name for p in expr.params)
         if params:
             self.used.add("GenParam")
             params += ","
-        return "CompiledClosure((%s), %s, list(%s))" % (params, fn, sv)
+        return "GenClosure((%s), %s, list(%s))" % (params, fn, sv)
 
     def _expr_Unary(self, w, expr, sv):
         op = expr.op
@@ -731,7 +763,7 @@ class SourceEmitter:
 
     def _call_pieces(self, w, expr, sv):
         """(args, named, closure) expression strings, evaluated in the
-        same order every tier uses: positional, then named, then the
+        same order the interpreter uses: positional, then named, then the
         trailing closure."""
         args = "[%s]" % ", ".join(self._expr(w, a, sv) for a in expr.args)
         named_entries = ", ".join(
@@ -753,7 +785,7 @@ class SourceEmitter:
     def _known_call(self, w, expr, sv):
         """An intra-app call whose callee is statically known: dispatch
         straight to the generated function when the shapes line up,
-        else through ``_g_call_known`` (the compiled-call rules)."""
+        else through ``_g_call_known`` (the general call rules)."""
         method = self.methods_by_name[expr.name]
         named_entries = [e for e in expr.named if isinstance(e.key, str)]
         simple = (not named_entries and expr.closure is None
@@ -782,7 +814,7 @@ class SourceEmitter:
             invoke = "rt._invoke_on(%s, %r, %s, %s, %s, %s)" % (
                 tmp, expr.name, args, named, closure, self._pos(expr))
         # the object evaluates first; None short-circuits before the
-        # arguments run, safe-call or not, matching both other tiers
+        # arguments run, safe-call or not, matching the interpreter
         return "(None if (%s := %s) is None else %s)" % (tmp, obj, invoke)
 
 
@@ -790,7 +822,7 @@ def generate_source(app_instance, digest=""):
     """Deterministic module text for one app's lowered IR.
 
     Raises :class:`CodegenError` when the IR defeats the emitter (the
-    caller falls back to the closure compiler for this app).
+    caller falls back to the interpreter for this app).
     """
     emitter = SourceEmitter(app_instance._ir)
     return emitter.emit_module(app_instance.name, digest)
@@ -846,17 +878,25 @@ def _exec_module(source, path, app_name):
     return GeneratedProgram(namespace["METHODS"], app_name, source_path=path)
 
 
-def load_program(app_instance, digest, cache_dir=None, _memory_cache={}):
+#: ``(cache_dir, digest, app name) -> GeneratedProgram`` (``False`` for
+#: a failed generation), least recently used first
+_PROGRAM_MEMO = OrderedDict()
+
+
+def load_program(app_instance, digest, cache_dir=None):
     """The generated program for one app under one system digest.
 
     Reads the cached module byte-for-byte when present, else emits,
     persists atomically, and loads.  Returns ``None`` when generation
-    fails (the caller falls back tier-by-tier).  ``cache_dir=False``
-    disables the disk cache entirely (generation is in-memory only).
+    fails (the caller runs the app on the interpreter).
+    ``cache_dir=False`` disables the disk cache entirely (generation is
+    in-memory only).  The last :data:`PROGRAM_MEMO_SIZE` programs stay
+    loaded in memory.
     """
     key = (cache_dir, digest, app_instance.name)
-    cached = _memory_cache.get(key)
+    cached = _PROGRAM_MEMO.get(key)
     if cached is not None:
+        _PROGRAM_MEMO.move_to_end(key)
         return cached or None
     path = None
     source = None
@@ -878,9 +918,10 @@ def load_program(app_instance, digest, cache_dir=None, _memory_cache={}):
                     path = None  # cache dir unwritable: stay in-memory
         program = _exec_module(source, path, app_instance.name)
     except Exception:
-        _memory_cache[key] = False
-        return None
-    _memory_cache[key] = program
+        program = None
+    _PROGRAM_MEMO[key] = program or False
+    while len(_PROGRAM_MEMO) > PROGRAM_MEMO_SIZE:
+        _PROGRAM_MEMO.popitem(last=False)
     return program
 
 
@@ -899,15 +940,18 @@ class _PoolContext:
         self.system = system
 
 
-class GeneratedExecutor(CompiledExecutor):
+class GeneratedExecutor(Interpreter):
     """Runs one app's *generated* methods.
 
-    Entry points (``run_handler``/``call_method``/``invoke_closure``)
-    and every semantic helper are inherited from the compiled tier; the
-    ``_g_*`` methods below are the compact runtime surface the emitted
-    source calls for the operations that must stay dynamic.
+    Construction, environment building, lookup/assignment rules, the
+    platform-API surface and the built-in dispatch are all inherited
+    from :class:`Interpreter`; only the entry points that would walk the
+    AST (``run_handler``/``call_method``/``invoke_closure``) call into
+    the generated functions instead.  The ``_g_*`` methods below are the
+    compact runtime surface the emitted source calls for the operations
+    that must stay dynamic.
 
-    Unlike the other tiers - which build a fresh executor (and
+    Unlike the interpreter - which builds a fresh executor (and
     environment) per handler run - a pooled instance is re-armed with
     :meth:`rebind`: the pristine environment is snapshotted once and a
     run costs two dict copies plus re-pointing the handles at the new
@@ -916,9 +960,69 @@ class GeneratedExecutor(CompiledExecutor):
 
     def __init__(self, app_instance, ctx, program,
                  op_budget=DEFAULT_OP_BUDGET):
-        super().__init__(app_instance, ctx, program, op_budget)
+        super().__init__(app_instance, ctx, op_budget)
+        self._program = program
         self._op_budget = op_budget
         self._pristine = None
+
+    # -- entry points --------------------------------------------------
+
+    def run_handler(self, handler_name, event_handle):
+        """Run one subscribed handler's generated function (missing
+        handlers log a warning, exactly like the interpreter)."""
+        method = self._program.methods.get(handler_name)
+        if method is None:
+            self.ctx.log(self.app.name, "warn",
+                         "handler %s not found" % handler_name)
+            return None
+        args = []
+        if method.params:
+            args = [event_handle] + [None] * (len(method.params) - 1)
+        return self._call_generated(method, args)
+
+    def call_method(self, method, args, named=None):
+        """AST-level entry used by shared machinery (``_invoke_on``)."""
+        generated = self._program.methods.get(method.name)
+        if generated is None:
+            return super().call_method(method, args, named)
+        return self._call_generated(generated, args)
+
+    def _call_generated(self, method, args):
+        scope = {}
+        for index, param in enumerate(method.params):
+            if index < len(args):
+                scope[param.name] = args[index]
+            else:
+                default = method.defaults[index]
+                scope[param.name] = (default(self, [scope])
+                                     if default is not None else None)
+        try:
+            return method.body(self, [scope])
+        except _Return as ret:
+            return ret.value
+
+    def invoke_closure(self, closure, args):
+        """Call a closure value; AST closures fall back to the
+        interpreter, generated ones run their function with a fresh
+        scope."""
+        if not isinstance(closure, GenClosure):
+            return super().invoke_closure(closure, args)
+        scope = {}
+        params = closure.params
+        if not params:
+            scope["it"] = args[0] if args else None
+        else:
+            if len(args) < len(params) and len(params) == 2 and len(args) == 1:
+                entry = args[0]
+                if isinstance(entry, handles.StateRecord):
+                    args = [entry.name, entry.value]
+            for index, param in enumerate(params):
+                scope[param.name] = args[index] if index < len(args) else None
+        scopes = list(closure.scopes) + [scope]
+        try:
+            return closure.body(self, scopes)
+        except _Return as ret:
+            return ret.value
 
     # -- pooling -------------------------------------------------------
 
@@ -967,7 +1071,7 @@ class GeneratedExecutor(CompiledExecutor):
             args = [named]
         if closure is not None:
             args.append(closure)
-        return self._call_compiled(method, args)
+        return self._call_generated(method, args)
 
     def _g_incr(self, scopes, name, value, delta):
         new = (self._to_number(value) or 0) + delta
@@ -1126,9 +1230,9 @@ class CodegenPlan:
 
     Installed by the engine when ``options.engine == "codegen"``: the
     plan's :meth:`executor_factory` hooks :meth:`Cascade._executor` (so
-    traced replays run generated code too), and :meth:`transitions` /
-    :meth:`evaluate_slab` replace :meth:`IoTSystem.transitions` on the
-    search path with traceless lean cascades over pooled executors.
+    traced replays run generated code too), and :meth:`transitions`
+    replaces :meth:`IoTSystem.transitions` on the search path with
+    traceless lean cascades over pooled executors.
     """
 
     def __init__(self, system, cache_dir=None, digest=None):
@@ -1149,14 +1253,12 @@ class CodegenPlan:
                 self.generated += 1
                 self._pool[app.name] = GeneratedExecutor(app, pool_ctx,
                                                          program)
-        # schema slots for the sensor event classes, resolved once at
-        # plan build (generation) time.  Subscriptions are static per
-        # system, so each concrete (device, attribute, value) event also
-        # resolves *here* whether any handler would run: subscriber-less
-        # events take a cascade-free fast path in :meth:`evaluate_slab`
-        # (the dominant case on sensor-rich systems - most sensor
-        # readings interest no installed app).
-        schema = system.state_schema()
+        # subscriptions are static per system, so each concrete (device,
+        # attribute, value) sensor event resolves *here*, once, whether
+        # any handler would run: subscriber-less events take a
+        # cascade-free fast path in :meth:`transitions` (the dominant
+        # case on sensor-rich systems - most sensor readings interest no
+        # installed app)
         self._sensor_table = []
         for device, attribute, events in system._sensor_events():
             resolved = []
@@ -1167,15 +1269,14 @@ class CodegenPlan:
                         Event(DEVICE, device=device, attribute=attribute,
                               value=value)))
                 resolved.append((value, ext, ext.label(), subscribed))
-            self._sensor_table.append(
-                (device, attribute, schema.slot_index(device, attribute),
-                 resolved))
+            self._sensor_table.append((device, attribute, resolved))
 
     # -- executors -----------------------------------------------------
 
     def executor_factory(self, app_instance, ctx):
         """:attr:`IoTSystem.executor_factory` hook for traced cascades
-        (fresh executor per handler run, like the other tiers)."""
+        (fresh executor per handler run; ``None`` sends an app whose
+        generation failed to the interpreter)."""
         program = self.programs.get(app_instance.name)
         if program is None:
             return None
@@ -1183,47 +1284,24 @@ class CodegenPlan:
 
     def acquire(self, app_instance, ctx):
         """A run-ready executor for one lean handler run: pooled and
-        rebound when the app generated, per-run fallback otherwise."""
+        rebound when the app generated, a fresh interpreter otherwise."""
         pooled = self._pool.get(app_instance.name)
         if pooled is not None:
             pooled.rebind(ctx)
             return pooled
-        if self.system.use_compiled:
-            program = app_instance.compiled_program()
-            if program is not None:
-                return CompiledExecutor(app_instance, ctx, program)
         return Interpreter(app_instance, ctx)
 
     # -- the lean relation ---------------------------------------------
 
     def transitions(self, state, monitor_factory, event_filter=None):
-        """Traceless mirror of :meth:`IoTSystem.transitions` (labels,
-        successor states, violations identical; ``steps`` empty)."""
-        out = []
-        system = self.system
-        for ext in system.external_choices(state):
-            if event_filter is not None and not event_filter(ext):
-                continue
-            self._run_event(out, state, ext, monitor_factory)
-        return out
+        """Traceless mirror of :meth:`IoTSystem.transitions`.
 
-    def evaluate_slab(self, jobs, monitor_factory):
-        """Successor lists for a slab of states, event-class-major.
-
-        ``jobs`` is ``[(state, event_filter-or-None, packed-or-None),
-        ...]``; one pass per external event class covers the whole
-        slab, so per-class work (the shared event objects, the schema
-        slot, the value list) is touched once per slab instead of once
-        per state.  When a job carries the state's *packed* tuple (the
-        exact store's canonical key), sensor enabledness reads one slot
-        straight out of the device block through the schema indices
-        resolved at plan-build time; otherwise it falls back to the
-        state's attribute walk.  Each state's transition list comes out
-        in exactly the order :meth:`transitions` would produce, so a
-        slab of one is indistinguishable from the classic path.
+        Labels, successor states and violations are identical and come
+        in the same order; ``steps`` keeps only the skeleton violation
+        attribution reads (see :class:`_LeanCascade`).
         """
         system = self.system
-        results = [[] for _ in jobs]
+        out = []
         # the fast path below replicates exactly one lean cascade shape:
         # single NO_FAILURE scenario, one sensor update, no subscribed
         # handler, nothing else on the queue - any failure enumeration
@@ -1238,63 +1316,46 @@ class CodegenPlan:
         invariant_probe = getattr(monitor_factory(), "_compiled", None)
         probe_failed = (invariant_probe.failed_invariants
                         if invariant_probe is not None else None)
-        for device, attribute, slot, events in self._sensor_table:
-            for index, (state, filt, packed) in enumerate(jobs):
-                if packed is not None and slot is not None:
-                    block = packed[0][slot[0]]
-                    current = (block[0][slot[1]] if block is not ABSENT
-                               else ABSENT)
-                    if current is ABSENT:
-                        current = None
-                else:
-                    current = state.attribute(device, attribute)
-                out = results[index]
-                for value, ext, label, subscribed in events:
-                    if value == current:
-                        continue
-                    if filt is not None and not filt(ext):
-                        continue
-                    if fast_ok and not subscribed:
-                        # cascade-free: time quantum, the sensor write,
-                        # the event record, the final invariant check -
-                        # byte-identical to what a lean cascade with an
-                        # empty dispatch would produce
-                        new_state = state.copy()
-                        new_state.cascade_commands = ()
-                        new_state.time += TIME_QUANTUM_MS
-                        new_state.set_attribute(device, attribute, value)
-                        new_state.record_event(device, attribute, value)
-                        if probe_failed is not None:
-                            violations = (
-                                monitor_factory().finish(new_state)
-                                if probe_failed(new_state) else [])
-                        else:
-                            violations = monitor_factory().finish(new_state)
-                        new_state.seal()
-                        out.append((label, new_state, True, violations, []))
-                        continue
-                    self._run_event(out, state, ext, monitor_factory)
+        for device, attribute, events in self._sensor_table:
+            current = state.attribute(device, attribute)
+            for value, ext, label, subscribed in events:
+                if value == current:
+                    continue
+                if event_filter is not None and not event_filter(ext):
+                    continue
+                if fast_ok and not subscribed:
+                    # cascade-free: time quantum, the sensor write, the
+                    # event record, the final invariant check - byte-
+                    # identical to what a lean cascade with an empty
+                    # dispatch would produce
+                    new_state = state.copy()
+                    new_state.cascade_commands = ()
+                    new_state.time += TIME_QUANTUM_MS
+                    new_state.set_attribute(device, attribute, value)
+                    new_state.record_event(device, attribute, value)
+                    if probe_failed is None or probe_failed(new_state):
+                        violations = monitor_factory().finish(new_state)
+                    else:
+                        violations = []
+                    new_state.seal()
+                    out.append((label, new_state, True, violations, []))
+                    continue
+                self._run_event(out, state, ext, monitor_factory)
         for ext in system._state_independent_choices():
-            for index, (state, filt, _packed) in enumerate(jobs):
-                if filt is not None and not filt(ext):
+            if event_filter is None or event_filter(ext):
+                self._run_event(out, state, ext, monitor_factory)
+        for app_name, handler, _periodic in state.schedules:
+            ext = ExternalEvent("timer", app=app_name, handler=handler)
+            if event_filter is None or event_filter(ext):
+                self._run_event(out, state, ext, monitor_factory)
+        if system.user_mode_events:
+            for mode in system.modes:
+                if mode == state.mode:
                     continue
-                self._run_event(results[index], state, ext, monitor_factory)
-        for index, (state, filt, _packed) in enumerate(jobs):
-            for app_name, handler, _periodic in state.schedules:
-                ext = ExternalEvent("timer", app=app_name, handler=handler)
-                if filt is not None and not filt(ext):
-                    continue
-                self._run_event(results[index], state, ext, monitor_factory)
-            if system.user_mode_events:
-                for mode in system.modes:
-                    if mode == state.mode:
-                        continue
-                    ext = ExternalEvent("mode", value=mode)
-                    if filt is not None and not filt(ext):
-                        continue
-                    self._run_event(results[index], state, ext,
-                                    monitor_factory)
-        return results
+                ext = ExternalEvent("mode", value=mode)
+                if event_filter is None or event_filter(ext):
+                    self._run_event(out, state, ext, monitor_factory)
+        return out
 
     def _run_event(self, out, state, ext, monitor_factory):
         """One external event's cascades (all failure scenarios)."""

@@ -77,7 +77,7 @@ DEFAULT_OP_BUDGET = 50000
 # shared value semantics
 #
 # Pure value-level operations used identically by the tree interpreter and
-# by the closure compiler (:mod:`repro.model.compiler`).  Keeping them as
+# by generated handler code (:mod:`repro.model.codegen`).  Keeping them as
 # module functions means both execution back-ends share one definition of
 # the semantics, which is what makes differential testing meaningful.
 # ---------------------------------------------------------------------------

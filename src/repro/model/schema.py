@@ -77,7 +77,7 @@ class StateSchema:
     """The packed-state layout of one :class:`IoTSystem`."""
 
     __slots__ = ("device_layout", "app_names", "_app_index", "slot_count",
-                 "component_count", "_slot_index", "anchor_layout")
+                 "component_count", "anchor_layout")
 
     def __init__(self, system):
         layout = []
@@ -95,7 +95,6 @@ class StateSchema:
         #: plus device-overflow, mode, app-overflow, schedules, pending
         #: and cascade-commands
         self.component_count = len(layout) + len(self.app_names) + 6
-        self._slot_index = None
         self.anchor_layout = self._pick_anchors(system)
 
     def _pick_anchors(self, system):
@@ -128,24 +127,6 @@ class StateSchema:
             if fanout[entry[0]]:
                 anchors.append(entry)
         return tuple(anchors)
-
-    def slot_index(self, device_name, attribute):
-        """Resolve ``(device, attribute)`` to its packed position.
-
-        Returns ``(device_position, attribute_position)`` into the
-        packed tuple's device-block section - ``packed[0][d][0][a]`` is
-        the slot's value - or ``None`` for off-schema pairs.  The
-        codegen tier resolves device slots against this map at
-        generation time so packed-state enabledness checks skip the
-        dict-of-dicts walk."""
-        index = self._slot_index
-        if index is None:
-            index = {}
-            for position, (name, attrs, _) in enumerate(self.device_layout):
-                for offset, attr in enumerate(attrs):
-                    index[(name, attr)] = (position, offset)
-            self._slot_index = index
-        return index.get((device_name, attribute))
 
     # ------------------------------------------------------------------
     # packing

@@ -53,9 +53,9 @@ from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
 _ALLOWED_OPTIONS = (
     "max_events", "mode", "visited", "bitstate_bits", "bitstate_salt",
     "max_states", "max_transitions", "time_limit", "stop_on_first",
-    "strategy", "compiled", "engine", "slab_size", "successor_cache",
-    "cache_limit", "cache_min_hit_rate", "cache_warmup", "reduction",
-    "workers", "partition", "scenario", "seed", "swarm_members",
+    "strategy", "engine", "successor_cache", "cache_limit",
+    "cache_min_hit_rate", "cache_warmup", "reduction", "workers",
+    "partition", "scenario", "seed", "swarm_members",
 )
 # deliberately NOT accepted: ``telemetry`` (a live-handle/filesystem
 # concern of the host) and ``spill_dir`` (a server-side filesystem path
@@ -152,7 +152,11 @@ class VettingService:
                                   % ", ".join(unknown))
         # the enum-valued options are only validated when the engine runs;
         # reject bad values at the API boundary instead of erroring the job
-        from repro.engine.options import ENGINE_MODES, EXPLORATION_MODES
+        from repro.engine.options import (
+            DEPRECATED_ENGINES,
+            ENGINE_MODES,
+            EXPLORATION_MODES,
+        )
         from repro.engine.options import visited_store_names
         from repro.engine.partition import partitioner_names
         from repro.engine.strategy import strategy_names
@@ -161,7 +165,7 @@ class VettingService:
         enums = {"visited": visited_store_names(),
                  "strategy": strategy_names(),
                  "mode": list(EXPLORATION_MODES),
-                 "engine": list(ENGINE_MODES),
+                 "engine": list(ENGINE_MODES) + list(DEPRECATED_ENGINES),
                  "partition": partitioner_names(),
                  "scenario": list(scenario_names())}
         for key, allowed in enums.items():

@@ -25,6 +25,17 @@ def _load_or_skip(loader):
         pytest.skip("bundled corpus unavailable: %s" % exc)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_codegen_cache(tmp_path_factory):
+    """Default-engine runs generate modules into a per-session directory
+    (inherited by shard and CLI subprocesses), never the user's cache."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("REPRO_CODEGEN_CACHE",
+                 str(tmp_path_factory.mktemp("codegen-home")))
+    yield
+    patch.undo()
+
+
 @pytest.fixture(scope="session")
 def registry():
     """The full corpus (market + malicious), parsed once per session."""

@@ -106,8 +106,8 @@ class TestCheck:
                 assert line in out2
 
     def test_engine_codegen_matches_default(self, tmp_path, capsys):
-        """`--engine codegen` (with a private source cache) must render
-        the identical violation log as the default compiled engine."""
+        """`--engine codegen` (with a private source cache) and the
+        interpreted oracle must render the default's violation log."""
         code, out = run_cli("check", "group1-entry-and-mode",
                             "--max-events", "2", "--trace", capsys=capsys)
         code2, out2 = run_cli("check", "group1-entry-and-mode",
@@ -115,11 +115,36 @@ class TestCheck:
                               "--engine", "codegen",
                               "--codegen-cache", str(tmp_path),
                               capsys=capsys)
-        assert (code, code2) == (1, 1)
+        code3, out3 = run_cli("check", "group1-entry-and-mode",
+                              "--max-events", "2", "--trace",
+                              "--engine", "interpreted", capsys=capsys)
+        assert (code, code2, code3) == (1, 1, 1)
 
         def tail(text):
             return text[text.index("SmartThings0.prom"):]
-        assert tail(out) == tail(out2)
+        assert tail(out) == tail(out2) == tail(out3)
+
+    def test_deprecated_compiled_engine_warns_once(self, capsys):
+        code = main(["check", "group1-entry-and-mode", "--max-events", "2",
+                     "--engine", "compiled"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("deprecated") == 1
+        assert len(captured.err.splitlines()) == 1
+        assert "violation" in captured.out
+
+    @pytest.mark.parametrize("text", ["", "{\"devices\": [", "not json"])
+    def test_malformed_json_config_exits_2_with_one_line(self, tmp_path,
+                                                         capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(path) in err
+        assert "Traceback" not in err
 
     def test_profile_prints_phase_breakdown(self, capsys):
         code, out = run_cli("check", "group1-entry-and-mode",

@@ -12,11 +12,13 @@ import os
 import py_compile
 import shutil
 import subprocess
+from collections import OrderedDict
 
 import pytest
 
 from repro.config.schema import SystemConfiguration
 from repro.corpus import load_all_apps
+from repro.model import codegen
 from repro.model.codegen import (
     CODEGEN_SCHEMA_VERSION,
     CodegenPlan,
@@ -33,6 +35,21 @@ from tests.conftest import _load_or_skip
 @pytest.fixture()
 def registry():
     return _load_or_skip(load_all_apps)
+
+
+@pytest.fixture()
+def memo(monkeypatch):
+    """A private, empty in-memory program memo for one test."""
+    fresh = OrderedDict()
+    monkeypatch.setattr(codegen, "_PROGRAM_MEMO", fresh)
+    return fresh
+
+
+def _load_uncached(app, digest, cache_dir):
+    """``load_program`` past the in-memory memo (disk cache only); use
+    with the ``memo`` fixture."""
+    codegen._PROGRAM_MEMO.clear()
+    return load_program(app, digest, cache_dir=cache_dir)
 
 
 def _alice_config(lock_device="zwave-lock"):
@@ -89,14 +106,13 @@ class TestCacheKeying:
 
 class TestCacheReuse:
     def test_generation_persists_then_reuses_byte_for_byte(self, registry,
-                                                           tmp_path):
+                                                           tmp_path, memo):
         system = ModelGenerator(registry).build(_alice_config())
         app = system.apps[0]
         digest = system.digest()
         cache_dir = str(tmp_path)
 
-        program = load_program(app, digest, cache_dir=cache_dir,
-                               _memory_cache={})
+        program = _load_uncached(app, digest, cache_dir)
         assert program is not None
         path = module_cache_path(cache_dir, digest, app.name)
         assert os.path.exists(path)
@@ -106,40 +122,37 @@ class TestCacheReuse:
         # poisoned METHODS table shows through
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("METHODS = {'poisoned': None}\n")
-        reloaded = load_program(app, digest, cache_dir=cache_dir,
-                                _memory_cache={})
+        reloaded = _load_uncached(app, digest, cache_dir)
         assert set(reloaded.methods) == {"poisoned"}
 
         # a different digest misses the poisoned entry and regenerates
-        fresh = load_program(app, "0" * 64, cache_dir=cache_dir,
-                             _memory_cache={})
+        fresh = _load_uncached(app, "0" * 64, cache_dir)
         assert "poisoned" not in set(fresh.methods)
         assert set(fresh.methods) == set(program.methods)
 
     def test_regeneration_reproduces_cached_bytes(self, registry,
-                                                  tmp_path):
+                                                  tmp_path, memo):
         """Deterministic emission: wiping the cache and regenerating
         must write the identical file."""
         system = ModelGenerator(registry).build(_alice_config())
         app = system.apps[0]
         digest = system.digest()
         cache_dir = str(tmp_path)
-        load_program(app, digest, cache_dir=cache_dir, _memory_cache={})
+        _load_uncached(app, digest, cache_dir)
         path = module_cache_path(cache_dir, digest, app.name)
         with open(path, encoding="utf-8") as handle:
             first = handle.read()
         os.unlink(path)
-        load_program(app, digest, cache_dir=cache_dir, _memory_cache={})
+        _load_uncached(app, digest, cache_dir)
         with open(path, encoding="utf-8") as handle:
             second = handle.read()
         assert first == second
         assert digest in first  # the header pins the generating digest
 
-    def test_disk_cache_disabled_still_generates(self, registry):
+    def test_disk_cache_disabled_still_generates(self, registry, memo):
         system = ModelGenerator(registry).build(_alice_config())
         app = system.apps[0]
-        program = load_program(app, system.digest(), cache_dir=False,
-                               _memory_cache={})
+        program = _load_uncached(app, system.digest(), False)
         assert program is not None
         assert program.source_path is None
 
@@ -151,6 +164,41 @@ class TestCacheReuse:
         for app in system.apps:
             assert os.path.exists(
                 module_cache_path(str(tmp_path), plan.digest, app.name))
+
+
+class TestProgramMemo:
+    def test_memo_evicts_least_recently_used_beyond_its_size(
+            self, registry, memo, monkeypatch):
+        """A long-lived service vets an unbounded stream of systems; the
+        in-memory memo keeps only the most recently used programs."""
+        monkeypatch.setattr(codegen, "PROGRAM_MEMO_SIZE", 2)
+        app = ModelGenerator(registry).build(_alice_config()).apps[0]
+        first = load_program(app, "a" * 64, cache_dir=False)
+        second = load_program(app, "b" * 64, cache_dir=False)
+        assert load_program(app, "a" * 64, cache_dir=False) is first
+        third = load_program(app, "c" * 64, cache_dir=False)
+        # "b" was least recently used: evicted, "a" (just hit) stays
+        assert [key[1][0] for key in memo] == ["a", "c"]
+        assert load_program(app, "a" * 64, cache_dir=False) is first
+        assert load_program(app, "c" * 64, cache_dir=False) is third
+        regenerated = load_program(app, "b" * 64, cache_dir=False)
+        assert regenerated is not second
+        assert set(regenerated.methods) == set(second.methods)
+        assert len(memo) == 2
+
+    def test_failed_generation_is_remembered(self, registry, memo,
+                                             monkeypatch):
+        app = ModelGenerator(registry).build(_alice_config()).apps[0]
+        calls = []
+
+        def broken(app_instance, digest=""):
+            calls.append(digest)
+            raise codegen.CodegenError("unsupported construct")
+
+        monkeypatch.setattr(codegen, "generate_source", broken)
+        assert load_program(app, "d" * 64, cache_dir=False) is None
+        assert load_program(app, "d" * 64, cache_dir=False) is None
+        assert calls == ["d" * 64]
 
 
 class TestGeneratedSourceHygiene:

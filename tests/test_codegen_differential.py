@@ -2,13 +2,15 @@
 
 The codegen tier (:mod:`repro.model.codegen`) is a pure performance
 knob: per-app Python source generation, pooled executors, a lean
-traceless cascade and slab-drained successor evaluation.  None of that
-may move a single observable - these suites prove verdicts, violation
-sets, per-counterexample event paths and rendered traces byte-identical
-to the interpreted oracle across the whole bundled corpus, every
-visited store, the sleep-set reduction, failure enumeration and the
-sharded multi-process search.
+traceless cascade with a cascade-free path for unsubscribed sensor
+events.  None of that may move a single observable - these suites
+prove verdicts, ordered violation lists, per-counterexample event paths
+and rendered traces byte-identical to the interpreted oracle across the
+whole bundled corpus, every visited store, the sleep-set reduction,
+failure enumeration and the sharded multi-process search.
 """
+
+import json
 
 import pytest
 
@@ -67,20 +69,27 @@ def _trace_view(result):
         for key, ce in result.counterexamples.items()}
 
 
-def _assert_equivalent(codegen, interpreted, context, traces=True):
+def _rendered(result):
+    """The counterexample list as ``repro check --json`` renders it."""
+    return json.dumps([ce.to_dict() for ce in result.counterexamples.values()],
+                      sort_keys=True)
+
+
+def _assert_equivalent(codegen, interpreted, context):
     assert codegen.states_explored == interpreted.states_explored, context
     assert codegen.transitions == interpreted.transitions, context
-    assert (sorted(codegen.counterexamples)
-            == sorted(interpreted.counterexamples)), context
-    if traces:
-        assert _trace_view(codegen) == _trace_view(interpreted), context
+    # ordered: the reported counterexample list must come out in the
+    # oracle's discovery order, not merely as the same set
+    assert (list(codegen.counterexamples)
+            == list(interpreted.counterexamples)), context
+    assert _trace_view(codegen) == _trace_view(interpreted), context
 
 
 class TestWholeCorpusGenerates:
     def test_every_corpus_app_generates_compilable_source(self, corpus):
         """The emitter must handle every construct the corpus uses - no
-        app may silently fall back to the closure compiler - and the
-        emitted text must be real, compilable Python."""
+        app may silently fall back to the interpreter - and the emitted
+        text must be real, compilable Python."""
         failures = []
         for name, app in sorted(corpus.items()):
             try:
@@ -132,13 +141,9 @@ class TestPerAppDifferential:
             codegen, interpreted = _verify_both(
                 system, properties, codegen_cache,
                 max_events=2, max_states=300)
-            if codegen.truncated or interpreted.truncated:
-                # slab draining changes the DFS pop order, so a
-                # truncated space need not cut off at the same frontier;
-                # the verdict must still agree
-                assert (codegen.verdict == interpreted.verdict), name
-            else:
-                _assert_equivalent(codegen, interpreted, "app %r" % name)
+            # both tiers expand nodes in the same order, so even a
+            # truncated space cuts off at the same frontier
+            _assert_equivalent(codegen, interpreted, "app %r" % name)
             checked += 1
         # the bundled corpus is 57 market + 9 malicious + 4 discovery
         # apps; virtually all of them must be installable in the zoo
@@ -181,7 +186,7 @@ class TestGroupDifferential:
 
     @pytest.mark.parametrize("visited", ["exact", "collapse"])
     def test_group1_every_exact_store(self, visited, codegen_cache):
-        """The slab path consults the visited store through the same
+        """The lean relation consults the visited store through the same
         engine hooks; the exact stores must agree state-for-state."""
         registry = _load_or_skip(load_all_apps)
         system = ModelGenerator(registry).build(
@@ -219,8 +224,8 @@ class TestGroupDifferential:
         assert codegen.commutes_pruned == interpreted.commutes_pruned
 
     def test_group1_with_failures_and_concurrent(self, codegen_cache):
-        """Failure enumeration disables the slab fast path and the
-        concurrent design bypasses the lean relation entirely; both
+        """Failure enumeration disables the cascade-free fast path and
+        the concurrent design bypasses the lean relation entirely; both
         must stay back-end independent."""
         registry = _load_or_skip(load_all_apps)
         config = GROUP_BUILDERS["group1-entry-and-mode"]()
@@ -238,22 +243,41 @@ class TestGroupDifferential:
             max_states=2000, mode="concurrent")
         _assert_equivalent(codegen, interpreted, "group1+concurrent")
 
-    def test_group1_slab_of_one_matches_default_slab(self, codegen_cache):
-        """slab_size=1 restores strict node-at-a-time draining; on an
-        exhaustive (untruncated) space both orders must converge on the
-        same states, transitions and canonical traces."""
+    @pytest.mark.parametrize("max_events", [2, 3])
+    def test_expert_groups_render_identical_json(self, max_events,
+                                                 codegen_cache):
+        """What ``repro check --json`` prints: the ordered counterexample
+        list of every expert group, byte-identical to the oracle's."""
         registry = _load_or_skip(load_all_apps)
-        system = ModelGenerator(registry).build(
-            GROUP_BUILDERS["group1-entry-and-mode"]())
+        for group_name in sorted(GROUP_BUILDERS):
+            system = ModelGenerator(registry).build(
+                GROUP_BUILDERS[group_name]())
+            properties = select_relevant(system, build_properties())
+            codegen, interpreted = _verify_both(
+                system, properties, codegen_cache, max_events=max_events)
+            context = (group_name, max_events)
+            assert not interpreted.truncated, context
+            _assert_equivalent(codegen, interpreted, context)
+            assert _rendered(codegen) == _rendered(interpreted), context
+
+    def test_volunteer_counterexample_order_survives_rehydration(
+            self, codegen_cache):
+        """Rehydrating lean traces replays each path and records *every*
+        violation of its final transition; the reported list must still
+        come out in discovery order.  This volunteer system has 61
+        counterexamples, several sharing a final transition."""
+        from repro.attribution.volunteers import volunteer_configuration
+
+        registry = _load_or_skip(load_all_apps)
+        config = volunteer_configuration("vgroup03", "volunteer1-maximalist",
+                                         registry)
+        system = ModelGenerator(registry).build(config, strict=False)
         properties = select_relevant(system, build_properties())
-        results = []
-        for slab_size in (1, 64):
-            options = EngineOptions(engine="codegen", slab_size=slab_size,
-                                    codegen_cache=codegen_cache,
-                                    max_events=2, max_states=5000)
-            results.append(
-                ExplorationEngine(system, properties, options).run())
-        _assert_equivalent(results[0], results[1], "slab 1 vs 64")
+        codegen, interpreted = _verify_both(system, properties,
+                                            codegen_cache, max_events=2)
+        assert len(interpreted.counterexamples) == 61
+        _assert_equivalent(codegen, interpreted, "vgroup03/volunteer1")
+        assert _rendered(codegen) == _rendered(interpreted)
 
 
 class TestShardedCodegen:
@@ -261,7 +285,7 @@ class TestShardedCodegen:
                                                             codegen_cache):
         """Two shard processes regenerate their executors from the
         digest-keyed source cache; merged verdicts and canonical traces
-        must match the single-worker compiled run byte-for-byte."""
+        must match the single-worker interpreted oracle byte-for-byte."""
         from repro.engine.batch import VerificationJob
         from repro.engine.parallel import explore_sharded
 
@@ -273,8 +297,9 @@ class TestShardedCodegen:
                                 codegen_cache=codegen_cache, workers=2)),
             workers=2)
         single = explore_sharded(
-            VerificationJob("compiled-x1", config,
-                            options=EngineOptions(max_events=2)),
+            VerificationJob("interpreted-x1", config,
+                            options=EngineOptions(max_events=2,
+                                                  engine="interpreted")),
             workers=1)
         assert sharded.states_explored == single.states_explored
         assert sharded.transitions == single.transitions

@@ -147,10 +147,8 @@ class TestContentSensitivity:
         """All execution tiers are proven observationally identical, so
         the engine choice is a pure performance knob: stored verdicts
         stay valid across tiers."""
-        digests = {
-            alice_system.digest(options=EngineOptions(engine=engine,
-                                                      slab_size=8))
-            for engine in ("interpreted", "compiled", "codegen")}
+        digests = {alice_system.digest(options=EngineOptions(engine=engine))
+                   for engine in ("interpreted", "codegen")}
         assert len(digests) == 1
         assert digests == {alice_system.digest(options=EngineOptions())}
 

@@ -227,20 +227,36 @@ class TestSuccessorCache:
                 == sorted(unlimited.counterexamples))
 
 
-class TestCompiledOption:
-    def test_no_compile_flag_switches_backend(self, alice_system):
-        compiled = verify(alice_system, build_properties(), max_events=2)
-        interpreted = verify(alice_system, build_properties(), max_events=2,
-                             compiled=False)
-        assert compiled.states_explored == interpreted.states_explored
-        assert (sorted(compiled.counterexamples)
-                == sorted(interpreted.counterexamples))
+class TestEngineOption:
+    def test_codegen_is_the_default_tier(self):
+        assert EngineOptions().engine == "codegen"
 
-    def test_engine_toggles_system_backend(self, alice_system):
-        verify(alice_system, build_properties(), max_events=1, compiled=False)
-        assert alice_system.use_compiled is False
+    def test_interpreted_oracle_matches_default(self, alice_system):
+        default = verify(alice_system, build_properties(), max_events=2)
+        interpreted = verify(alice_system, build_properties(), max_events=2,
+                             engine="interpreted")
+        assert default.states_explored == interpreted.states_explored
+        assert (list(default.counterexamples)
+                == list(interpreted.counterexamples))
+
+    def test_engine_installs_and_clears_the_executor_hook(self,
+                                                          alice_system):
         verify(alice_system, build_properties(), max_events=1)
-        assert alice_system.use_compiled is True
+        assert alice_system.executor_factory is not None
+        verify(alice_system, build_properties(), max_events=1,
+               engine="interpreted")
+        assert alice_system.executor_factory is None
+
+    def test_compiled_is_a_deprecated_alias_of_codegen(self, capsys):
+        options = EngineOptions(engine="compiled")
+        assert options.engine == "codegen"
+        warning = capsys.readouterr().err
+        assert warning.count("\n") == 1
+        assert "deprecated" in warning and "codegen" in warning
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            EngineOptions(engine="closures")
 
 
 class TestExactModeHasNoHashShortcuts:

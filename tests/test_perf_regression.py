@@ -11,10 +11,10 @@ check_perf_regression = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_perf_regression)
 
 
-def _doc(trajectory_sps, compiled_sps, deep_sps=None):
+def _doc(trajectory_sps, codegen_sps, deep_sps=None):
     document = {
         "trajectory": [{"events": 3, "states_per_second": trajectory_sps}],
-        "engine_modes": {"compiled": {"states_per_second": compiled_sps}},
+        "engine_modes": {"codegen": {"states_per_second": codegen_sps}},
     }
     if deep_sps is not None:
         document["deep_run"] = {
@@ -35,7 +35,7 @@ class TestCompare:
             _doc(10000, 20000, deep_sps=9000),
             _doc(10000, 15000, deep_sps=9000))
         assert [name for name, _, _ in regressions] == [
-            "engine_modes.compiled"]
+            "engine_modes.codegen"]
 
     def test_deep_run_modes_compared(self):
         regressions = check_perf_regression.compare(

@@ -444,6 +444,10 @@ class TestHTTPAPI:
                 {"group": "no-such-group"},
                 {"group": self.GROUP, "options": {"bogus_option": 1}},
                 {"group": self.GROUP, "options": {"visited": 3}},
+                {"group": self.GROUP, "options": {"engine": "closures"}},
+                # retired knobs of the removed closure-compiler tier
+                {"group": self.GROUP, "options": {"compiled": True}},
+                {"group": self.GROUP, "options": {"slab_size": 8}},
                 # one submission must never fork the host to death
                 {"group": self.GROUP, "options": {"workers": 4096}},
                 {"group": self.GROUP, "options": {"workers": 0}},
@@ -454,6 +458,13 @@ class TestHTTPAPI:
             with pytest.raises(ServiceError) as excinfo:
                 service_client.submit(payload)
             assert excinfo.value.status == 400
+
+    def test_compiled_engine_is_a_deprecated_alias(self, capsys):
+        from repro.service.api import VettingService
+
+        options = VettingService._payload_options({"engine": "compiled"})
+        assert options.engine == "codegen"
+        assert capsys.readouterr().err.count("deprecated") == 1
 
     def test_unknown_routes_are_404(self, service_client):
         for path in ("/jobs/job-9999", "/results/%s" % ("f" * 64),
