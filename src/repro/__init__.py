@@ -81,11 +81,11 @@ def check_configurations(named_configs, workers=None, properties=None,
 
 def build_system(config, registry=None, enable_failures=False):
     """Bind a configuration into an :class:`~repro.model.system.IoTSystem`."""
-    from repro.corpus import load_all_apps
+    from repro.corpus import corpus_registry
     from repro.model.generator import ModelGenerator
 
     if registry is None:
-        registry = load_all_apps()
+        registry = corpus_registry()
     return ModelGenerator(registry).build(config, strict=False,
                                           enable_failures=enable_failures)
 

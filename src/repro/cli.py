@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 import time
+from collections import ChainMap
 
 from repro import build_system
 from repro.checker.trace import render_violation_log
@@ -55,9 +56,9 @@ def _load_registry(include_ifttt=False):
     )
 
     spec = REGISTRY_CORPUS_IFTTT if include_ifttt else REGISTRY_CORPUS
-    # copy: some commands extend the registry (scan adds discovery apps)
-    # and must not poison the resolver's cache
-    return dict(_resolve_registry(spec))
+    # a writable layer: some commands extend the registry (scan adds
+    # discovery apps) and must not poison the resolver's cache
+    return ChainMap({}, _resolve_registry(spec))
 
 
 def _load_configuration(source):

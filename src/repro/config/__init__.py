@@ -14,13 +14,19 @@ the paper crawls SmartThings' management web app with Jsoup.  Here:
 
 from repro.config.extractor import ConfigurationExtractor, extract_from_html
 from repro.config.portal import ManagementPortal
-from repro.config.schema import AppConfig, DeviceConfig, SystemConfiguration
+from repro.config.schema import (
+    AppConfig,
+    ConfigError,
+    DeviceConfig,
+    SystemConfiguration,
+)
 
 __all__ = [
     "ConfigurationExtractor",
     "extract_from_html",
     "ManagementPortal",
     "AppConfig",
+    "ConfigError",
     "DeviceConfig",
     "SystemConfiguration",
 ]

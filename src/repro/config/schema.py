@@ -9,6 +9,71 @@ configured contacts for the leakage properties.
 
 import json
 
+_TYPE_NAMES = {dict: "object", list: "list", str: "string", bool: "bool",
+               int: "int", float: "float", type(None): "null"}
+#: what a binding or an association role may hold (or a list of these)
+_SCALARS = (str, int, float, bool, type(None))
+
+
+class ConfigError(ValueError):
+    """A configuration document that does not match the schema.
+
+    The message names the offending field by its path, e.g.
+    ``devices: expected list, got int`` or ``apps[0]: missing 'app'``.
+    """
+
+
+def _join(path, key):
+    return "%s.%s" % (path, key) if path else key
+
+
+def _expect(value, kind, path, kind_name=None):
+    """``value`` if it is a ``kind``, else :class:`ConfigError` at ``path``."""
+    if not isinstance(value, kind):
+        raise ConfigError("%s: expected %s, got %s" % (
+            path, kind_name or _TYPE_NAMES[kind],
+            _TYPE_NAMES.get(type(value), type(value).__name__)))
+    return value
+
+
+def _field(data, path, key, kind, required=False, default=None):
+    """``data[key]`` checked against ``kind``; an optional ``null`` is
+    treated as absent."""
+    if key not in data or (data[key] is None and not required):
+        if required:
+            raise ConfigError("%s: missing %r" % (path or "configuration",
+                                                  key))
+        return default
+    return _expect(data[key], kind, _join(path, key))
+
+
+def _items(data, path, key):
+    """A list field as ``[(item path, item)]``."""
+    where = _join(path, key)
+    return [("%s[%d]" % (where, index), item)
+            for index, item in enumerate(_field(data, path, key, list,
+                                                default=()))]
+
+
+def _strings(data, path, key):
+    return [_expect(item, str, where)
+            for where, item in _items(data, path, key)]
+
+
+def _values(data, path, key):
+    """A bindings / association object: name -> scalar or list of scalars."""
+    values = _field(data, path, key, dict, default={})
+    for name, value in values.items():
+        where = "%s.%s" % (_join(path, key), name)
+        if isinstance(value, list):
+            for index, item in enumerate(value):
+                _expect(item, _SCALARS, "%s[%d]" % (where, index),
+                        "string, number, bool or null")
+        else:
+            _expect(value, _SCALARS, where,
+                    "string, number, bool, null or list")
+    return values
+
 
 class DeviceConfig:
     """One installed device: unique name + device type + display label."""
@@ -24,8 +89,12 @@ class DeviceConfig:
         return {"name": self.name, "type": self.type, "label": self.label}
 
     @classmethod
-    def from_dict(cls, data):
-        return cls(data["name"], data["type"], data.get("label"))
+    def from_dict(cls, data, path="device"):
+        """Validated load; raises :class:`ConfigError` naming ``path``."""
+        _expect(data, dict, path)
+        return cls(_field(data, path, "name", str, required=True),
+                   _field(data, path, "type", str, required=True),
+                   _field(data, path, "label", str))
 
     def __repr__(self):
         return "DeviceConfig(%r, %r)" % (self.name, self.type)
@@ -51,8 +120,12 @@ class AppConfig:
                 "instance_name": self.instance_name}
 
     @classmethod
-    def from_dict(cls, data):
-        return cls(data["app"], data.get("bindings"), data.get("instance_name"))
+    def from_dict(cls, data, path="app"):
+        """Validated load; raises :class:`ConfigError` naming ``path``."""
+        _expect(data, dict, path)
+        return cls(_field(data, path, "app", str, required=True),
+                   _values(data, path, "bindings"),
+                   _field(data, path, "instance_name", str))
 
     def __repr__(self):
         return "AppConfig(%r)" % (self.instance_name,)
@@ -131,14 +204,24 @@ class SystemConfiguration:
 
     @classmethod
     def from_dict(cls, data):
+        """Validated load of :meth:`to_dict`'s shape.
+
+        Raises :class:`ConfigError` (a :class:`ValueError`) naming the
+        first field that does not match, never another exception.
+        """
+        _expect(data, dict, "configuration")
         return cls(
-            devices=[DeviceConfig.from_dict(d) for d in data.get("devices", [])],
-            apps=[AppConfig.from_dict(a) for a in data.get("apps", [])],
-            contacts=data.get("contacts", []),
-            modes=data.get("modes"),
-            initial_mode=data.get("initial_mode", "Home"),
-            association=data.get("association"),
-            http_allowed=data.get("http_allowed", []),
+            devices=[DeviceConfig.from_dict(item, where)
+                     for where, item in _items(data, "", "devices")],
+            apps=[AppConfig.from_dict(item, where)
+                  for where, item in _items(data, "", "apps")],
+            contacts=_strings(data, "", "contacts"),
+            modes=(None if data.get("modes") is None
+                   else _strings(data, "", "modes")),
+            initial_mode=_field(data, "", "initial_mode", str,
+                                default="Home"),
+            association=_values(data, "", "association"),
+            http_allowed=_strings(data, "", "http_allowed"),
         )
 
     @classmethod

@@ -9,11 +9,14 @@ with per-job options and merges the statistics into one
 
 Jobs are described declaratively (a configuration + options + property
 selection) rather than as built systems, so they pickle cheaply: each
-worker process parses the bundled corpus once and builds its own systems.
+worker process parses the corpus apps its jobs name once and builds its
+own systems.
 """
 
 import os
 import time
+from collections import ChainMap
+from collections.abc import Mapping
 
 from repro.engine.options import EngineOptions
 
@@ -74,17 +77,17 @@ class VerificationJob:
 
 
 def _resolve_registry(spec):
-    if isinstance(spec, dict):
+    if isinstance(spec, Mapping):
         return spec
     cached = _REGISTRY_CACHE.get(spec)
     if cached is not None:
         return cached
-    from repro.corpus import load_all_apps
+    from repro.corpus import corpus_registry
 
-    registry = load_all_apps()
+    registry = corpus_registry()
     if spec == REGISTRY_CORPUS_IFTTT:
         from repro.ifttt.table9 import table9_registry
-        registry.update(table9_registry())
+        registry = ChainMap(table9_registry(), registry)
     elif spec != REGISTRY_CORPUS:
         raise KeyError("unknown registry spec %r" % (spec,))
     _REGISTRY_CACHE[spec] = registry
@@ -105,7 +108,7 @@ def _resolve_properties(job, system):
 
 
 def overlay_sources(registry, sources):
-    """A registry copy with raw Groovy sources (name -> text) parsed in.
+    """The registry with raw Groovy sources (name -> text) layered over it.
 
     Shared by job execution, cache-key derivation and trace re-rendering:
     all three must rebuild the *same* registry for a job, so the parse
@@ -115,11 +118,11 @@ def overlay_sources(registry, sources):
         return registry
     from repro.smartapp import load_app
 
-    registry = dict(registry)
+    uploads = {}
     for name in sorted(sources):
         app = load_app(sources[name], "%s.groovy" % name)
-        registry[app.name] = app
-    return registry
+        uploads[app.name] = app
+    return ChainMap(uploads, registry)
 
 
 def resolve_job_registry(job):
@@ -227,14 +230,16 @@ def verify_many(jobs, workers=None, timeout=None):
 
 
 def _warm_registries(jobs):
-    """Parse each referenced corpus registry once in the parent process.
+    """Parse every app the jobs name once in the parent process.
 
     Under the default fork start method the workers inherit the parsed
-    corpus through copy-on-write memory, so no worker pays the parse
+    apps through copy-on-write memory, so no worker pays the parse
     cost; under spawn the warm-up is merely redundant.
     """
-    for spec in {job.registry for job in jobs if isinstance(job.registry, str)}:
-        _resolve_registry(spec)
+    for job in jobs:
+        registry = _resolve_registry(job.registry)
+        for app_config in job.config.apps:
+            registry.get(app_config.app)
 
 
 def _verify_many_pooled(jobs, workers, batch, started, timeout=None):

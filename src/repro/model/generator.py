@@ -48,11 +48,12 @@ class ModelGenerator:
     """Builds :class:`IoTSystem` objects from configurations.
 
     ``app_registry`` maps app names to parsed :class:`SmartApp` objects
-    (usually :func:`repro.corpus.load_market_apps`).
+    (usually the lazy :func:`repro.corpus.corpus_registry`, so a build
+    parses only the apps the configuration names).
     """
 
     def __init__(self, app_registry):
-        self.app_registry = dict(app_registry)
+        self.app_registry = app_registry
 
     def build(self, config, enable_failures=False, strict=True,
               user_mode_events=False):

@@ -17,40 +17,42 @@ the exploration engine in a service layer:
   urllib client the ``repro submit``/``results``/``gc`` CLI verbs use.
 """
 
-from repro.service.api import (
-    DEFAULT_PORT,
-    ServiceClient,
-    ServiceError,
-    SubmissionError,
-    VettingHTTPServer,
-    VettingService,
-    create_server,
-)
-from repro.service.digest import (
-    DIGEST_SCHEMA_VERSION,
-    job_cache_key,
-    job_config_digest,
-    system_digest,
-)
-from repro.service.scheduler import ScheduledJob, Scheduler, estimate_cost
-from repro.service.store import STORE_SCHEMA_VERSION, ResultStore, StoredResult
+import importlib
 
-__all__ = [
-    "DEFAULT_PORT",
-    "DIGEST_SCHEMA_VERSION",
-    "STORE_SCHEMA_VERSION",
-    "ResultStore",
-    "StoredResult",
-    "ScheduledJob",
-    "Scheduler",
-    "ServiceClient",
-    "ServiceError",
-    "SubmissionError",
-    "VettingHTTPServer",
-    "VettingService",
-    "create_server",
-    "estimate_cost",
-    "job_cache_key",
-    "job_config_digest",
-    "system_digest",
-]
+#: public name -> submodule; resolved on first access (PEP 562), so that
+#: importing a light submodule (``digest``, ``defaults``) never pulls
+#: the HTTP client, ``ssl`` or ``sqlite3`` into a plain ``repro check``
+_EXPORTS = {
+    "DEFAULT_PORT": "defaults",
+    "ServiceClient": "api",
+    "ServiceError": "api",
+    "SubmissionError": "api",
+    "VettingHTTPServer": "api",
+    "VettingService": "api",
+    "create_server": "api",
+    "DIGEST_SCHEMA_VERSION": "digest",
+    "job_cache_key": "digest",
+    "job_config_digest": "digest",
+    "system_digest": "digest",
+    "ScheduledJob": "scheduler",
+    "Scheduler": "scheduler",
+    "estimate_cost": "scheduler",
+    "STORE_SCHEMA_VERSION": "store",
+    "ResultStore": "store",
+    "StoredResult": "store",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    """Import the submodule that defines a public name on first access."""
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(importlib.import_module("repro.service." + submodule),
+                    name)
+    globals()[name] = value
+    return value
+

@@ -42,6 +42,7 @@ import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.config.schema import ConfigError
 from repro.service.defaults import DEFAULT_PORT
 from repro.service.scheduler import Scheduler
 from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
@@ -126,9 +127,7 @@ class VettingService:
         from repro.corpus.groups import GROUP_BUILDERS
 
         if "config" in payload:
-            if not isinstance(payload["config"], dict):
-                raise SubmissionError("'config' must be a configuration "
-                                      "object (SystemConfiguration.to_dict)")
+            # a malformed document raises ConfigError, answered as 400
             return SystemConfiguration.from_dict(payload["config"])
         group = payload.get("group")
         if group:
@@ -397,7 +396,7 @@ class _Handler(BaseHTTPRequestHandler):
                                  "store": self.service.store.stats()})
             else:
                 self._send_error_json(404, "unknown endpoint %s" % path)
-        except SubmissionError as exc:
+        except (SubmissionError, ConfigError) as exc:
             self._send_error_json(400, str(exc))
         except Exception as exc:
             self._send_error_json(500, "%s: %s" % (type(exc).__name__, exc))

@@ -1,6 +1,9 @@
 """CLI smoke tests (``python -m repro ...``)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -145,6 +148,41 @@ class TestCheck:
         assert len(err.splitlines()) == 1
         assert str(path) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("document, message", [
+        ({"devices": 5}, "devices: expected list, got int"),
+        ({"apps": [{"bindings": {}}]}, "apps[0]: missing 'app'"),
+        ([], "configuration: expected object, got list"),
+    ])
+    def test_schema_invalid_config_exits_2_naming_the_field(
+            self, tmp_path, capsys, document, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert message in err
+
+    def test_check_does_not_import_the_http_stack(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['check', 'group1-entry-and-mode', '--max-events', '1',"
+            " '--json'])\n"
+            "print(' '.join(sorted(m for m in ('repro.service.api',"
+            " 'http.client', 'sqlite3') if m in sys.modules)))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
 
     def test_profile_prints_phase_breakdown(self, capsys):
         code, out = run_cli("check", "group1-entry-and-mode",

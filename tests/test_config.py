@@ -1,10 +1,17 @@
 """Unit tests for the Configuration Extractor (§7)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.extractor import ConfigurationExtractor, extract_from_html
 from repro.config.portal import ManagementPortal
-from repro.config.schema import AppConfig, DeviceConfig, SystemConfiguration
+from repro.config.schema import (
+    AppConfig,
+    ConfigError,
+    DeviceConfig,
+    SystemConfiguration,
+)
 
 
 def sample_config():
@@ -130,3 +137,68 @@ class TestExtractorEdgeCases:
         extracted = ConfigurationExtractor(registry).extract(
             ManagementPortal(config))
         assert extracted.device("d1").label == 'Lock & "Main" <door>'
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=3)),
+    max_leaves=12)
+
+
+def _shaped(fields):
+    """Objects over the schema's own keys, so validation runs deep."""
+    return st.dictionaries(st.sampled_from(fields), _JSON, max_size=4)
+
+
+_SHAPED_CONFIG = st.fixed_dictionaries({}, optional={
+    "devices": st.lists(_shaped(["name", "type", "label"]), max_size=3)
+    | _JSON,
+    "apps": st.lists(_shaped(["app", "bindings", "instance_name"]),
+                     max_size=3) | _JSON,
+    "contacts": _JSON, "modes": _JSON, "initial_mode": _JSON,
+    "association": _JSON, "http_allowed": _JSON,
+})
+
+
+class TestSchemaValidation:
+    @pytest.mark.parametrize("document, message", [
+        (5, "configuration: expected object, got int"),
+        ({"devices": 5}, "devices: expected list, got int"),
+        ({"devices": [{"type": "zwave-lock"}]}, "devices[0]: missing 'name'"),
+        ({"devices": [{"name": "d", "type": None}]},
+         "devices[0].type: expected string, got null"),
+        ({"apps": [{"bindings": {}}]}, "apps[0]: missing 'app'"),
+        ({"apps": [{"app": "A", "bindings": {"x": {"y": 1}}}]},
+         "apps[0].bindings.x: expected string, number, bool, null or list"),
+        ({"association": {"r": [1, []]}},
+         "association.r[1]: expected string, number, bool or null, got list"),
+        ({"contacts": ["+1", 2]}, "contacts[1]: expected string, got int"),
+        ({"initial_mode": 3}, "initial_mode: expected string, got int"),
+    ])
+    def test_errors_name_the_field(self, document, message):
+        with pytest.raises(ConfigError) as excinfo:
+            SystemConfiguration.from_dict(document)
+        assert str(excinfo.value).startswith(message)
+        assert isinstance(excinfo.value, ValueError)
+
+    def test_optional_nulls_mean_defaults(self):
+        config = SystemConfiguration.from_dict(
+            {"modes": None, "association": None, "contacts": None,
+             "apps": [{"app": "A", "bindings": None,
+                       "instance_name": None}]})
+        assert config.modes == ["Home", "Away", "Night"]
+        assert config.apps[0].instance_name == "A"
+        assert config.association == {} and config.contacts == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_JSON, _SHAPED_CONFIG))
+    def test_arbitrary_json_is_a_configuration_or_config_error(self, data):
+        try:
+            config = SystemConfiguration.from_dict(data)
+        except ConfigError:
+            return
+        restored = SystemConfiguration.from_dict(config.to_dict())
+        assert restored.to_dict() == config.to_dict()

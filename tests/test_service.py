@@ -45,6 +45,19 @@ def _run_one(store, job):
 # ---------------------------------------------------------------------------
 
 
+def test_package_exports_resolve_to_their_submodules():
+    import importlib
+
+    import repro.service as service
+
+    for name in service.__all__:
+        module = importlib.import_module(
+            "repro.service." + service._EXPORTS[name])
+        assert getattr(service, name) is getattr(module, name)
+    with pytest.raises(AttributeError):
+        service.no_such_export
+
+
 class TestResultStore:
     def test_put_get_round_trip(self, alice_config):
         with ResultStore(":memory:") as store:
@@ -458,6 +471,19 @@ class TestHTTPAPI:
             with pytest.raises(ServiceError) as excinfo:
                 service_client.submit(payload)
             assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("config, message", [
+        ({"devices": 5}, "devices: expected list, got int"),
+        ({"apps": [{"bindings": {}}]}, "apps[0]: missing 'app'"),
+        ({"apps": [{"app": "Unlock Door", "bindings": []}]},
+         "apps[0].bindings: expected object, got list"),
+    ])
+    def test_malformed_config_is_400_naming_the_field(
+            self, service_client, config, message):
+        with pytest.raises(ServiceError) as excinfo:
+            service_client.submit({"config": config})
+        assert excinfo.value.status == 400
+        assert message in str(excinfo.value)
 
     def test_compiled_engine_is_a_deprecated_alias(self, capsys):
         from repro.service.api import VettingService
