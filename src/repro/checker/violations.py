@@ -89,12 +89,6 @@ class Violation:
         list one violation per (property, interacting apps) pair."""
         return (self.property.id, self.message, tuple(sorted(set(self.apps))))
 
-    def clone(self):
-        """An independent copy (the engine refines ``apps`` per path, so
-        cached violations are replayed as clones, never shared)."""
-        return Violation(self.property, self.message, apps=self.apps,
-                         step_index=self.step_index)
-
     def to_dict(self):
         prop = self.property
         data = {

@@ -366,9 +366,6 @@ def _submit_payload(args):
             "visited": args.visited,
             "strategy": args.strategy,
             "max_states": args.max_states,
-            "successor_cache": not args.no_successor_cache,
-            "cache_limit": args.cache_limit,
-            "cache_min_hit_rate": args.cache_min_hit_rate,
             "reduction": args.reduction,
             "scenario": args.scenario,
             "partition": args.partition,
@@ -550,15 +547,6 @@ def _add_engine_arguments(parser):
                         help="directory for digest-keyed generated modules "
                              "(default: $REPRO_CODEGEN_CACHE or "
                              "~/.cache/repro/codegen)")
-    parser.add_argument("--no-successor-cache", action="store_true",
-                        help="disable the per-state transition memo")
-    parser.add_argument("--cache-limit", type=int, default=100000,
-                        help="live successor-cache entries before LRU "
-                             "eviction kicks in")
-    parser.add_argument("--cache-min-hit-rate", type=float, default=0.05,
-                        help="auto-disable (and empty) the successor cache "
-                             "when its hit rate is below this after the "
-                             "warmup window; 0 keeps it unconditionally")
     parser.add_argument("--reduction", action="store_true",
                         help="sleep-set partial-order reduction over the "
                              "static independence relation: prunes every "
@@ -604,9 +592,6 @@ def _engine_options(args):
                          max_states=args.max_states,
                          engine=args.engine,
                          codegen_cache=args.codegen_cache,
-                         successor_cache=not args.no_successor_cache,
-                         cache_limit=args.cache_limit,
-                         cache_min_hit_rate=args.cache_min_hit_rate,
                          reduction=args.reduction,
                          scenario=args.scenario,
                          workers=shard_workers,

@@ -24,8 +24,9 @@ The exploration machinery of the checker, carved into replaceable parts:
   one deduplicated, oracle-replayed violation sink
   (``EngineOptions(mode="swarm")`` / ``repro check --mode swarm``).
 
-``repro.checker.explorer`` remains as a thin compatibility shim over this
-package.
+The exact and BITSTATE stores themselves live in
+:mod:`repro.checker.visited`; :mod:`repro.engine.visited` re-exports
+them next to the engine's own stores.
 """
 
 from repro.engine.batch import VerificationJob, default_workers, verify_many

@@ -38,8 +38,8 @@ def resolve_engine(engine):
     return engine
 
 
-# Store constructors import lazily: repro.checker re-exports the engine
-# shim, so a module-level import here would be circular.
+# Store constructors import lazily: the ``repro`` package init imports
+# this package, so checker and model modules load on first use.
 
 def _make_exact(options, system):
     from repro.checker.visited import ExactVisitedSet
@@ -141,17 +141,6 @@ class EngineOptions:
         ``~/.cache/repro/codegen``).  Sharded workers regenerate their
         executors from this cache by digest instead of pickling
         closures.
-    ``successor_cache``
-        Memoize each expanded state's full transition set keyed by its
-        64-bit fingerprint, so depth-improved revisits replay successors
-        without re-executing any cascade.  ``cache_limit`` bounds the
-        number of live memoized expansions (least-recently-hit entries
-        are evicted beyond it).  The cache watches its own hit rate:
-        after ``cache_warmup`` lookups, a hit rate below
-        ``cache_min_hit_rate`` disables and empties it for the rest of
-        the run (deep bounds revisit expanded states rarely, so the memo
-        would burn memory for nothing); set ``cache_min_hit_rate=0`` to
-        keep it unconditionally.
     ``reduction``
         Enable the sleep-set partial-order reduction over the static
         event-independence relation: of the interleavings of commuting
@@ -183,17 +172,11 @@ class EngineOptions:
         verdicts, violation sets, traces and the vetting service's
         semantic digests are byte-identical with telemetry on or off,
         so it is excluded from the content digests.
-    ``manage_gc``
-        Suspend Python's cyclic garbage collector for the duration of a
-        run (restored on exit).  The search allocates millions of
-        short-lived, almost entirely acyclic objects, so generation-0
-        sweeps cost ~30% of wall clock while reclaiming nothing that
-        reference counting does not already reclaim.
     ``workers``
         Shard *one* run across this many worker processes
         (:mod:`repro.engine.parallel`): state ownership is partitioned
         by fingerprint, each shard runs the full engine (its own
-        frontier, visited store, successor cache and sleep sets) and
+        frontier, visited store and sleep sets) and
         cross-shard frontier states travel as delta-encoded batches
         over multiprocessing queues.  ``1`` (the default) runs the
         classic in-process search.  A pure performance knob: verdicts,
@@ -240,10 +223,8 @@ class EngineOptions:
                  bitstate_bits=23, max_states=200000, max_transitions=None,
                  time_limit=None, stop_on_first=False, strategy="dfs",
                  priority=None, engine=None, codegen_cache=None,
-                 successor_cache=True,
-                 cache_limit=100000, cache_min_hit_rate=0.05,
-                 cache_warmup=4096, reduction=False, check_interval=256,
-                 manage_gc=True, workers=1, partition="locality",
+                 reduction=False, check_interval=256, workers=1,
+                 partition="locality",
                  scenario="clean", telemetry=None, seed=0, swarm_members=4,
                  bitstate_salt=0, spill_dir=None):
         self.max_events = max_events
@@ -268,13 +249,8 @@ class EngineOptions:
         self.priority = priority
         self.engine = resolve_engine(engine)
         self.codegen_cache = codegen_cache
-        self.successor_cache = successor_cache
-        self.cache_limit = cache_limit
-        self.cache_min_hit_rate = cache_min_hit_rate
-        self.cache_warmup = cache_warmup
         self.reduction = reduction
         self.check_interval = check_interval
-        self.manage_gc = manage_gc
         self.workers = workers
         # imported lazily for the same reason as the store constructors
         from repro.engine.partition import partitioner_names

@@ -8,7 +8,7 @@ state space on one core.  This module partitions one run instead:
   one of N worker processes, so the distinct-state count and the
   depth-aware revisit semantics are preserved globally while each shard
   keeps its own frontier, visited store (exact / fingerprint / collapse
-  all work unchanged), successor cache and sleep sets.  The owner map
+  all work unchanged) and sleep sets.  The owner map
   is a :mod:`repro.engine.partition` strategy: ``fingerprint`` (the
   balanced zero-locality baseline) or ``locality`` (the default - a
   stable projection of the packed slot grid that keeps successor
@@ -262,8 +262,8 @@ class _SeedNode(_Node):
 class _ShardEngine(ExplorationEngine):
     """One shard's search loop: the sequential engine plus routing.
 
-    Reuses the parent class's transition generation (successor cache
-    included), sleep-set propagation, violation recording and limit
+    Reuses the parent class's transition generation, sleep-set
+    propagation, violation recording and limit
     checks; only the admission step changes - successors owned by
     another shard are exported instead of explored.
     """
@@ -271,11 +271,6 @@ class _ShardEngine(ExplorationEngine):
     #: shards report raw candidates; the parent canonicalizes once
     #: after the merge instead of every shard permuting its own
     canonicalize_traces = False
-
-    #: cross-shard dedup makes cache hits structurally rare, so the
-    #: watchdog judges the successor cache from the first rolling
-    #: window instead of burning a warmup's worth of pinned successors
-    cache_grace_warmup = False
 
     def _open_telemetry(self):
         """Shards never open the sink/meter/board themselves: the parent
@@ -331,10 +326,10 @@ class _ShardEngine(ExplorationEngine):
     # ------------------------------------------------------------------
 
     def _run(self):
-        result = self._result = ExplorationResult()
+        self._result = ExplorationResult()
         self._started = time.monotonic()
-        (self._visited, self._frontier, self._cache, self._reducer,
-         self._matcher) = self._setup_search(result)
+        (self._visited, self._frontier, self._reducer,
+         self._matcher) = self._setup_search()
         # same graceful degradation as the sequential loop: third-party
         # stores without the O(1) counter fall back to fresh-equals-new
         self._count_distinct = getattr(self._visited, "distinct_count", None)
@@ -382,8 +377,8 @@ class _ShardEngine(ExplorationEngine):
             #: skeleton root-to-node prefix, shared by every export from
             #: this node (computed on the first foreign-owned successor)
             node_prefix = None
-            for transition in self._node_transitions(node, self._cache,
-                                                     self._reducer, result):
+            for transition in self._search_transitions_from(
+                    node, self._sleep_filter(node, self._reducer, result)):
                 label, new_state, consumed, violations, steps = transition
                 result.transitions += 1
                 depth = node.depth + (1 if consumed else 0)
@@ -652,7 +647,7 @@ class _ShardEngine(ExplorationEngine):
     def _telemetry_fields(self):
         """One worker's compact progress snapshot for the parent merge."""
         result = self._result
-        fields = {
+        return {
             "worker": self.worker_id,
             "states": result.states_explored,
             "transitions": result.transitions,
@@ -665,15 +660,9 @@ class _ShardEngine(ExplorationEngine):
             "steals": self.steals,
             "stolen_states": self.stolen_states,
         }
-        cache = self._cache
-        if cache is not None:
-            fields["cache_hits"] = cache.hits
-            fields["cache_misses"] = cache.misses
-        return fields
 
     def _finish_shard(self):
-        return self._finish(self._result, self._visited, self._cache,
-                            self._started)
+        return self._finish(self._result, self._visited, self._started)
 
 
 def _worker_main(worker_id, shards, job, queues, control, stop_event):
@@ -981,7 +970,7 @@ def _cluster_fields(shard_snaps, elapsed):
     def total(key):
         return sum(snap.get(key, 0) for snap in shard_snaps.values())
 
-    fields = {
+    return {
         "states": total("states"),
         "transitions": total("transitions"),
         "frontier": total("frontier"),
@@ -993,13 +982,6 @@ def _cluster_fields(shard_snaps, elapsed):
         "workers_reporting": len(shard_snaps),
         "elapsed": round(elapsed, 6),
     }
-    hits = total("cache_hits")
-    misses = total("cache_misses")
-    if hits or misses:
-        fields["cache_hits"] = hits
-        fields["cache_misses"] = misses
-        fields["cache_hit_rate"] = round(hits / (hits + misses), 4)
-    return fields
 
 
 def _time_limit_exceeded(options, started):
@@ -1096,17 +1078,10 @@ def _merge_shards(payloads, workers):
         root_owners += 1 if payload.get("root_owner") else 0
         merged.states_explored += shard.states_explored
         merged.transitions += shard.transitions
-        merged.cache_hits += shard.cache_hits
-        merged.cache_misses += shard.cache_misses
-        merged.cache_auto_disabled |= shard.cache_auto_disabled
-        if merged.cache_disable_reason is None:
-            merged.cache_disable_reason = shard.cache_disable_reason
         for phase, seconds in shard.profile.items():
             # summed across shards: aggregate worker time per phase
             merged.profile[phase] = merged.profile.get(phase, 0.0) + seconds
         merged.commutes_pruned += shard.commutes_pruned
-        if shard.cache_mode != "off":
-            merged.cache_mode = shard.cache_mode
         if shard.truncated and not merged.truncated:
             merged.truncated = True
             merged.truncated_reason = shard.truncated_reason
@@ -1125,10 +1100,6 @@ def _merge_shards(payloads, workers):
             "handoff_bytes": payload.get("handoff_bytes", 0),
             "steals": payload.get("steals", 0),
             "stolen_states": payload.get("stolen_states", 0),
-            "cache_hits": shard.cache_hits,
-            "cache_misses": shard.cache_misses,
-            "cache_auto_disabled": shard.cache_auto_disabled,
-            "cache_disable_reason": shard.cache_disable_reason,
             "commutes_pruned": shard.commutes_pruned,
             "visited_stats": dict(shard.visited_stats),
         })

@@ -44,6 +44,22 @@ class Event:
     def __repr__(self):
         return "Event(%s)" % (self.describe(),)
 
+    # value semantics: pending events are part of a model state's
+    # fingerprint and canonical key, so two equal queues must hash and
+    # compare equal (an identity hash would let a freed event's reused
+    # address alias an unrelated state)
+    def _fields(self):
+        return (self.source, self.device, self.attribute, self.value,
+                self.app)
+
+    def __eq__(self, other):
+        if not isinstance(other, Event):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
 
 class FailureScenario:
     """Which nonideality (if any) afflicts this external event's cascade.

@@ -1,7 +1,7 @@
 """The live single-line progress meter for ``repro check --progress``.
 
 One ``\\r``-repainted stderr line per snapshot - states, transitions,
-throughput, frontier size/depth, cache hit rate - finished with a
+throughput, frontier size/depth and reporting shards - finished with a
 newline on close so the run summary starts clean.  Writes go to stderr
 (stdout stays machine-consumable: ``--json`` output and the summary are
 unpolluted), and repaints are rate-limited so a fast engine does not
@@ -44,8 +44,6 @@ class ProgressMeter:
             parts.append("frontier %s" % _count(fields["frontier"]))
         if fields.get("depth") is not None:
             parts.append("depth %d" % fields["depth"])
-        if "cache_hit_rate" in fields:
-            parts.append("cache %.1f%%" % (100.0 * fields["cache_hit_rate"]))
         if fields.get("workers_reporting"):
             parts.append("%d shard(s)" % fields["workers_reporting"])
         line = " | ".join(parts)

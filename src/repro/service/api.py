@@ -35,6 +35,7 @@ the engine.
 """
 
 import json
+import math
 import random
 import threading
 import time
@@ -43,6 +44,7 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.config.schema import ConfigError
+from repro.engine.parallel import MAX_SHARD_WORKERS
 from repro.service.defaults import DEFAULT_PORT
 from repro.service.scheduler import Scheduler
 from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
@@ -54,9 +56,8 @@ from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
 _ALLOWED_OPTIONS = (
     "max_events", "mode", "visited", "bitstate_bits", "bitstate_salt",
     "max_states", "max_transitions", "time_limit", "stop_on_first",
-    "strategy", "engine", "successor_cache", "cache_limit",
-    "cache_min_hit_rate", "cache_warmup", "reduction", "workers",
-    "partition", "scenario", "seed", "swarm_members",
+    "strategy", "engine", "reduction", "workers", "partition", "scenario",
+    "seed", "swarm_members",
 )
 # deliberately NOT accepted: ``telemetry`` (a live-handle/filesystem
 # concern of the host) and ``spill_dir`` (a server-side filesystem path
@@ -66,6 +67,49 @@ _ALLOWED_OPTIONS = (
 #: most swarm members one HTTP submission may request (members run
 #: serially, so this bounds per-job wall clock, not process count)
 MAX_SWARM_MEMBERS = 64
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return ((_is_int(value) or isinstance(value, float))
+            and math.isfinite(value))
+
+
+def _in_range(low, high=None):
+    return lambda value: _is_int(value) and low <= value \
+        and (high is None or value <= high)
+
+
+def _optional(check):
+    return lambda value: value is None or check(value)
+
+
+#: legal values of the options that are not registry names: option ->
+#: (description for the 400 answer, predicate).  The ``workers`` bound
+#: keeps one submission from forking the host to death, the
+#: ``swarm_members`` bound from asking for an unbounded member fleet, and
+#: the ``bitstate_bits`` bound from allocating more than a 2 GiB field
+_OPTION_VALUES = {
+    "max_events": ("an integer >= 0", _in_range(0)),
+    "bitstate_bits": ("an integer 3..34", _in_range(3, 34)),
+    "bitstate_salt": ("an integer", _is_int),
+    "seed": ("an integer", _is_int),
+    "max_states": ("an integer >= 0 or null", _optional(_in_range(0))),
+    "max_transitions": ("an integer >= 0 or null",
+                        _optional(_in_range(0))),
+    "time_limit": ("a number >= 0 or null",
+                   _optional(lambda value: _is_number(value)
+                             and value >= 0)),
+    "stop_on_first": ("true or false", lambda value: isinstance(value, bool)),
+    "reduction": ("true or false", lambda value: isinstance(value, bool)),
+    "workers": ("an integer 1..%d" % MAX_SHARD_WORKERS,
+                _in_range(1, MAX_SHARD_WORKERS)),
+    "swarm_members": ("an integer 1..%d" % MAX_SWARM_MEMBERS,
+                      _in_range(1, MAX_SWARM_MEMBERS)),
+}
 
 
 class SubmissionError(ValueError):
@@ -96,27 +140,57 @@ class VettingService:
         """Validate and submit one ``POST /submit`` body; returns the
         job snapshot (after an optional bounded wait)."""
         from repro.engine.batch import REGISTRY_CORPUS, VerificationJob
+        from repro.groovy.errors import GroovyError
 
         config = self._payload_config(payload)
         options = self._payload_options(payload.get("options") or {})
         properties = payload.get("properties") or None
-        if properties is not None and not isinstance(properties, list):
+        if properties is not None and not (
+                isinstance(properties, list)
+                and all(isinstance(pid, str) for pid in properties)):
             raise SubmissionError("'properties' must be a list of ids")
+        if properties is not None:
+            from repro.properties import build_properties
+
+            try:
+                build_properties(properties)
+            except KeyError as exc:
+                raise SubmissionError(exc.args[0])
         sources = payload.get("sources") or None
-        if sources is not None and not isinstance(sources, dict):
+        if sources is not None and not (
+                isinstance(sources, dict)
+                and all(isinstance(text, str) for text in sources.values())):
             raise SubmissionError("'sources' must map app names to Groovy "
                                   "source text")
         name = payload.get("name") or self._default_name(payload, config)
+        if not isinstance(name, str):
+            raise SubmissionError("'name' must be a string")
+        priority = payload.get("priority") or 0
+        if not _is_int(priority):
+            raise SubmissionError("bad 'priority' %r (an integer)"
+                                  % (priority,))
+        wait = payload.get("wait") or 0
+        if not _is_number(wait):
+            raise SubmissionError("bad 'wait' %r (a number of seconds)"
+                                  % (wait,))
+        for flag in ("failures", "all_properties"):
+            if payload.get(flag) is not None \
+                    and not isinstance(payload[flag], bool):
+                raise SubmissionError("bad %r %r (true or false)"
+                                      % (flag, payload[flag]))
         job = VerificationJob(
             name, config, options, properties=properties,
-            select=not payload.get("all_properties", False),
+            select=not payload.get("all_properties"),
             registry=REGISTRY_CORPUS,
             strict=False,  # match `repro check` / build_system
-            enable_failures=bool(payload.get("failures", False)),
+            enable_failures=bool(payload.get("failures")),
             sources=sources)
-        record = self.scheduler.submit(job,
-                                       priority=int(payload.get("priority", 0)))
-        wait = float(payload.get("wait", 0) or 0)
+        try:
+            # the digest parses uploaded sources; a Groovy error there is
+            # the submitter's, reported with its file:line:col
+            record = self.scheduler.submit(job, priority=priority)
+        except GroovyError as exc:
+            raise SubmissionError("sources: %s" % exc)
         if wait > 0:
             self.scheduler.wait(record, timeout=wait)
         return record.snapshot()
@@ -131,6 +205,8 @@ class VettingService:
             return SystemConfiguration.from_dict(payload["config"])
         group = payload.get("group")
         if group:
+            if not isinstance(group, str):
+                raise SubmissionError("'group' must be a group name")
             builder = GROUP_BUILDERS.get(group)
             if builder is None:
                 raise SubmissionError(
@@ -172,30 +248,10 @@ class VettingService:
                 raise SubmissionError(
                     "bad %r option %r (allowed: %s)"
                     % (key, options[key], ", ".join(allowed)))
-        if "workers" in options:
-            from repro.engine.parallel import MAX_SHARD_WORKERS
-
-            workers = options["workers"]
-            # one HTTP submission must never fork the host to death:
-            # bound the shard count here, before the engine sees it
-            if (not isinstance(workers, int) or isinstance(workers, bool)
-                    or not 1 <= workers <= MAX_SHARD_WORKERS):
-                raise SubmissionError(
-                    "bad 'workers' option %r (an integer 1..%d)"
-                    % (workers, MAX_SHARD_WORKERS))
-        if "swarm_members" in options:
-            members = options["swarm_members"]
-            # same spirit as the workers bound: a submission must not be
-            # able to ask this host for an unbounded member fleet
-            if (not isinstance(members, int) or isinstance(members, bool)
-                    or not 1 <= members <= MAX_SWARM_MEMBERS):
-                raise SubmissionError(
-                    "bad 'swarm_members' option %r (an integer 1..%d)"
-                    % (members, MAX_SWARM_MEMBERS))
-        if "seed" in options and (not isinstance(options["seed"], int)
-                                  or isinstance(options["seed"], bool)):
-            raise SubmissionError("bad 'seed' option %r (an integer)"
-                                  % (options["seed"],))
+        for key, (legal, check) in _OPTION_VALUES.items():
+            if key in options and not check(options[key]):
+                raise SubmissionError("bad %r option %r (%s)"
+                                      % (key, options[key], legal))
         try:
             return EngineOptions(**options)
         except (TypeError, ValueError) as exc:

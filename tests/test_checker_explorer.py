@@ -2,20 +2,14 @@
 
 import pytest
 
-from repro.checker.explorer import (
-    CONCURRENT,
-    SEQUENTIAL,
-    ExplorationResult,
-    Explorer,
-    ExplorerOptions,
-    verify,
-)
+from repro.engine import EngineOptions, ExplorationResult, verify
+from repro.engine.options import CONCURRENT, SEQUENTIAL
 from repro.properties import build_properties
 
 
 class TestOptions:
     def test_defaults(self):
-        options = ExplorerOptions()
+        options = EngineOptions()
         assert options.max_events == 3
         assert options.mode == SEQUENTIAL
         # one word per state is the default since the compiled-transition
@@ -24,12 +18,12 @@ class TestOptions:
 
     def test_make_visited_exact(self):
         from repro.checker.visited import ExactVisitedSet
-        store = ExplorerOptions(visited="exact").make_visited()
+        store = EngineOptions(visited="exact").make_visited()
         assert type(store) is ExactVisitedSet
 
     def test_make_visited_bitstate(self):
         from repro.checker.visited import BitStateTable
-        options = ExplorerOptions(visited="bitstate", bitstate_bits=16)
+        options = EngineOptions(visited="bitstate", bitstate_bits=16)
         assert isinstance(options.make_visited(), BitStateTable)
 
 

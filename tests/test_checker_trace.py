@@ -4,12 +4,12 @@ import re
 
 import pytest
 
-from repro.checker.explorer import verify
 from repro.checker.trace import (
     SpinLogRenderer,
     render_result_logs,
     render_violation_log,
 )
+from repro.engine import verify
 from repro.properties import build_properties
 
 _LINE_RE = re.compile(

@@ -200,7 +200,7 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["verdict"] in ("safe", "violated")
         assert {"parse", "build", "explore"} <= set(payload["profile"])
-        assert "cache_disable_reason" in payload
+        assert not any(key.startswith("cache_") for key in payload)
 
     def test_config_from_json_file(self, tmp_path, capsys):
         from repro.config.schema import SystemConfiguration

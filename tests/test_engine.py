@@ -126,110 +126,16 @@ class TestEngineStrategies:
         assert result.states_per_second > 0
 
 
-class TestSuccessorCache:
-    """The per-state transition memo: identical outcomes, fewer cascades."""
-
-    def test_cache_stats_on_result(self, alice_system):
-        result = verify(alice_system, build_properties(), max_events=2)
-        assert result.cache_mode == "fingerprint"
-        assert result.cache_misses > 0
-
-    def test_cache_off_is_identical(self, alice_system):
-        cached = verify(alice_system, build_properties(), max_events=2)
-        uncached = verify(alice_system, build_properties(), max_events=2,
-                          successor_cache=False)
-        assert uncached.cache_mode == "off"
-        assert uncached.cache_misses == 0
-        assert cached.states_explored == uncached.states_explored
-        assert cached.transitions == uncached.transitions
-        assert (sorted(cached.counterexamples)
-                == sorted(uncached.counterexamples))
-
-    def test_replayed_expansions_match_live(self, generator, alice_config):
-        """Force re-expansion (a state reached again at smaller depth via
-        BFS-after-DFS ordering is rare at tiny bounds, so compare a deeper
-        run): hit or not, outcomes must be identical."""
-        system = generator.build(alice_config)
-        deep_cached = verify(system, build_properties(), max_events=3)
-        deep_uncached = verify(system, build_properties(), max_events=3,
-                               successor_cache=False)
-        assert deep_cached.states_explored == deep_uncached.states_explored
-        assert deep_cached.transitions == deep_uncached.transitions
-        assert (sorted(deep_cached.counterexamples)
-                == sorted(deep_uncached.counterexamples))
-
-    def test_cache_limit_zero_records_nothing(self, alice_system):
-        result = verify(alice_system, build_properties(), max_events=2,
-                        cache_limit=0)
-        assert result.cache_hits == 0
-
-    def test_hit_rate_on_result(self, alice_system):
-        result = verify(alice_system, build_properties(), max_events=2)
-        lookups = result.cache_hits + result.cache_misses
-        assert lookups > 0
-        assert result.cache_hit_rate == result.cache_hits / lookups
-
-    def test_auto_disable_below_threshold(self, alice_system):
-        """A cold cache is switched off (and emptied) once a full
-        post-warmup window stays under the threshold, instead of burning
-        memory for the rest of the run.  The first ``warmup`` lookups
-        are exempt (compulsory misses), so the window must fit in the
-        run's lookup budget."""
-        cold = verify(alice_system, build_properties(), max_events=2,
-                      cache_warmup=2, cache_min_hit_rate=0.99)
-        assert cold.cache_auto_disabled
-        assert "hit rate" in cold.cache_disable_reason
-        baseline = verify(alice_system, build_properties(), max_events=2,
-                          successor_cache=False)
-        assert cold.states_explored == baseline.states_explored
-        assert cold.transitions == baseline.transitions
-        assert (sorted(cold.counterexamples)
-                == sorted(baseline.counterexamples))
-
-    def test_warmup_misses_do_not_disable(self, alice_system):
-        """The compulsory cold streak at the start of a search must not
-        condemn the cache before a revisit is even possible: with the
-        whole run inside the warmup window, the cache stays on."""
-        result = verify(alice_system, build_properties(), max_events=2,
-                        cache_warmup=4096, cache_min_hit_rate=0.99)
-        assert not result.cache_auto_disabled
-        assert result.cache_disable_reason is None
-
-    def test_auto_disable_off_when_threshold_zero(self, alice_system):
-        result = verify(alice_system, build_properties(), max_events=2,
-                        cache_warmup=2, cache_min_hit_rate=0)
-        assert not result.cache_auto_disabled
-
-    def test_lru_evicts_oldest_entry(self):
-        from repro.engine.core import _SuccessorCache
-
-        cache = _SuccessorCache(EngineOptions(cache_limit=2,
-                                              cache_min_hit_rate=0))
-        cache.store("a", ["expansion-a"])
-        cache.store("b", ["expansion-b"])
-        assert cache.lookup("a") == ["expansion-a"]  # refreshes "a"
-        cache.store("c", ["expansion-c"])            # evicts "b", not "a"
-        assert cache.lookup("b") is None
-        assert cache.lookup("a") == ["expansion-a"]
-        assert cache.lookup("c") == ["expansion-c"]
-        assert len(cache.entries) == 2
-
-    def test_lru_keeps_working_past_old_hard_stop(self, alice_system):
-        """cache_limit now bounds *live* entries (LRU), not total
-        recordings: a tiny limit must not freeze or break the search."""
-        small = verify(alice_system, build_properties(), max_events=2,
-                       cache_limit=3, cache_min_hit_rate=0)
-        unlimited = verify(alice_system, build_properties(), max_events=2,
-                           cache_min_hit_rate=0)
-        assert small.states_explored == unlimited.states_explored
-        assert small.transitions == unlimited.transitions
-        assert (sorted(small.counterexamples)
-                == sorted(unlimited.counterexamples))
-
-
 class TestEngineOption:
     def test_codegen_is_the_default_tier(self):
         assert EngineOptions().engine == "codegen"
+
+    @pytest.mark.parametrize("removed", [
+        "successor_cache", "cache_limit", "cache_min_hit_rate",
+        "cache_warmup", "manage_gc"])
+    def test_removed_knobs_are_rejected(self, removed):
+        with pytest.raises(TypeError):
+            EngineOptions(**{removed: True})
 
     def test_interpreted_oracle_matches_default(self, alice_system):
         default = verify(alice_system, build_properties(), max_events=2)
@@ -279,12 +185,35 @@ class TestEngineGc:
         verify(alice_system, build_properties(), max_events=1)
         assert gc.isenabled()
 
-    def test_gc_left_alone_when_unmanaged(self, alice_system):
+    def test_gc_suspended_during_run_and_reenabled_after_an_error(
+            self, alice_system, monkeypatch):
         import gc
 
-        verify(alice_system, build_properties(), max_events=1,
-               manage_gc=False)
+        seen = []
+
+        def failing_run(engine):
+            seen.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(ExplorationEngine, "_run", failing_run)
+        engine = ExplorationEngine(alice_system, build_properties(),
+                                   EngineOptions(max_events=1))
+        with pytest.raises(RuntimeError):
+            engine.run()
+        assert seen == [False]
         assert gc.isenabled()
+
+    def test_gc_left_alone_when_unmanaged(self, alice_system):
+        """A caller that manages the collector itself (has it disabled)
+        finds it still disabled after the run."""
+        import gc
+
+        gc.disable()
+        try:
+            verify(alice_system, build_properties(), max_events=1)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestSeenState:
@@ -315,21 +244,6 @@ class TestSeenState:
         assert store.seen_state(two, 0) is False
         assert store.seen_state(two.copy(), 0) is True
         assert len(store) == 2
-
-
-class TestExplorerShim:
-    def test_shim_names_are_engine_objects(self):
-        from repro.checker import explorer
-
-        assert explorer.Explorer is ExplorationEngine
-        assert explorer.ExplorerOptions is EngineOptions
-        assert explorer.verify is verify
-
-    def test_shim_verify_still_works(self, alice_system):
-        from repro.checker.explorer import verify as shim_verify
-
-        result = shim_verify(alice_system, build_properties(), max_events=1)
-        assert "P06" in result.violated_property_ids
 
 
 class TestVerifyMany:

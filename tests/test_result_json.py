@@ -1,4 +1,5 @@
-"""JSON round-trip of results + the cache-hit-rate regression."""
+"""JSON round-trip of results, older documents, and the zero-expansion
+regression."""
 
 import json
 
@@ -111,40 +112,54 @@ class TestBatchResultRoundTrip:
         assert "alice" in payload["results"]
 
 
+class TestOlderDocuments:
+    """Documents written before the successor cache was removed still
+    carry its ``cache_*`` counters, top level and per shard."""
+
+    def test_cache_keys_are_ignored(self, alice_result):
+        current = alice_result.to_dict()
+        older = dict(current, cache_hits=12, cache_misses=30,
+                     cache_mode="fingerprint", cache_auto_disabled=True,
+                     cache_disable_reason="post-warmup hit rate 0.0% < 5.0%",
+                     workers=2,
+                     shard_stats=[{"worker": 0, "states_explored": 5,
+                                   "cache_hits": 0, "cache_misses": 4,
+                                   "cache_auto_disabled": False,
+                                   "cache_disable_reason": None}])
+        restored = ExplorationResult.from_json(json.dumps(older))
+        assert restored.shard_stats == [{"worker": 0, "states_explored": 5}]
+        assert not any(key.startswith("cache_")
+                       for key in restored.to_dict())
+        assert dict(restored.to_dict(), workers=1,
+                    shard_stats=[]) == current
+        assert restored.summary().splitlines()[0] == \
+            alice_result.summary().splitlines()[0]
+
+
 class TestCacheHitRateRegression:
-    """``cache_hit_rate`` must be 0.0, never a ZeroDivisionError, when a
-    run answers zero cache queries (e.g. a depth-0 run that never expands
-    a state)."""
+    """Derived rates are 0.0, never a ZeroDivisionError, for runs and
+    batches that did no work.  This once guarded the successor-cache hit
+    rate; with the cache gone it guards states/sec and the batch
+    throughput line."""
 
     def test_zero_lookup_run(self, alice_system):
         properties = select_relevant(alice_system, build_properties())
         result = ExplorationEngine(
-            alice_system, properties,
-            EngineOptions(max_events=0, successor_cache=False)).run()
-        assert result.cache_hits == 0 and result.cache_misses == 0
-        assert result.cache_hit_rate == 0.0
+            alice_system, properties, EngineOptions(max_events=0)).run()
+        assert result.transitions == 0
         result.summary()  # the formatted report must not raise either
 
     def test_fresh_result_object(self):
-        assert ExplorationResult().cache_hit_rate == 0.0
+        assert ExplorationResult().states_per_second == 0.0
 
     def test_empty_batch(self):
         batch = BatchResult()
-        assert batch.cache_hits == 0
-        assert batch.cache_hit_rate == 0.0
+        assert batch.states_explored == 0
+        assert "aggregate throughput" not in batch.summary()
 
     def test_batch_of_zero_lookup_jobs(self):
         batch = BatchResult()
         batch.add("a", ExplorationResult())
         batch.add("b", ExplorationResult())
-        assert batch.cache_hit_rate == 0.0
-
-    def test_batch_aggregates_hits(self):
-        batch = BatchResult()
-        first, second = ExplorationResult(), ExplorationResult()
-        first.cache_hits, first.cache_misses = 3, 1
-        second.cache_hits, second.cache_misses = 1, 3
-        batch.add("a", first)
-        batch.add("b", second)
-        assert batch.cache_hits == 4 and batch.cache_misses == 4
-        assert batch.cache_hit_rate == 0.5
+        assert batch.job_seconds == 0.0
+        assert "aggregate throughput" not in batch.summary()

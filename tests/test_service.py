@@ -4,6 +4,8 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import build_system
 from repro.checker.trace import render_violation_log
@@ -17,8 +19,10 @@ from repro.service import (
     Scheduler,
     ServiceClient,
     ServiceError,
+    VettingService,
     create_server,
 )
+from repro.service.api import _ALLOWED_OPTIONS, VettingHTTPServer
 from repro.service.store import STORE_SCHEMA_VERSION
 
 
@@ -467,10 +471,39 @@ class TestHTTPAPI:
                 {"group": self.GROUP, "options": {"workers": "two"}},
                 {"group": self.GROUP, "properties": "P06"},
                 {"group": self.GROUP, "sources": ["not-a-dict"]},
+                # knobs of the removed successor cache
+                {"group": self.GROUP, "options": {"successor_cache": False}},
+                {"group": self.GROUP, "options": {"cache_limit": 10}},
+                {"group": self.GROUP, "options": {"cache_min_hit_rate": 0}},
+                {"group": self.GROUP, "options": {"cache_warmup": 8}},
+                # malformed fields outside the configuration
+                {"group": self.GROUP, "priority": "abc"},
+                {"group": self.GROUP, "priority": [1]},
+                {"group": self.GROUP, "wait": [1]},
+                {"group": ["a"]},
+                {"group": self.GROUP, "name": 5},
+                {"group": self.GROUP, "options": {"max_events": "x"}},
+                {"group": self.GROUP, "options": {"max_events": -1}},
+                {"group": self.GROUP, "options": {"reduction": "yes"}},
+                {"group": self.GROUP, "options": {"time_limit": "soon"}},
+                {"group": self.GROUP, "sources": {"X": 5}},
+                {"group": self.GROUP, "properties": [1, 2]},
+                {"group": self.GROUP, "properties": ["NOPE"]},
+                {"group": self.GROUP, "failures": "yes"},
+                {"group": self.GROUP, "all_properties": [1]},
         ):
             with pytest.raises(ServiceError) as excinfo:
                 service_client.submit(payload)
-            assert excinfo.value.status == 400
+            assert excinfo.value.status == 400, payload
+
+    def test_groovy_syntax_error_is_400_with_its_position(
+            self, service_client):
+        broken = "definition(name: 'X')\ndef installed() { foo( }\n"
+        with pytest.raises(ServiceError) as excinfo:
+            service_client.submit({"group": self.GROUP,
+                                   "sources": {"X": broken}})
+        assert excinfo.value.status == 400
+        assert "X.groovy:2:" in str(excinfo.value)
 
     @pytest.mark.parametrize("config, message", [
         ({"devices": 5}, "devices: expected list, got int"),
@@ -505,6 +538,89 @@ class TestHTTPAPI:
         answer = service_client.gc(keep=0)
         assert answer["removed"] >= 1
         assert answer["store"]["entries"] == 0
+
+
+# ---------------------------------------------------------------------------
+# submit payload fuzzing
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def idle_service_client():
+    """A server whose scheduler never drains: submissions are validated,
+    digested and queued, but no job runs, and ``wait`` returns at once
+    (blocking for a valid wait is the contract, not what is fuzzed)."""
+    service = VettingService(ResultStore(":memory:"), workers=1)
+    service.scheduler.wait = lambda record, timeout=None: record.done
+    server = VettingHTTPServer(("127.0.0.1", 0), service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        yield ServiceClient("http://%s:%d" % (host, port), retries=0)
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.store.close()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=3)),
+    max_leaves=8)
+
+_GROOVY = st.sampled_from([
+    "definition(name: 'Up')\ndef installed() { log.debug 'hi' }\n",
+    "definition(name: 'X')\ndef installed() { foo( }\n",
+    "",
+]) | st.text(max_size=40)
+
+#: a submit body: the real fields with plausible and arbitrary values,
+#: plus arbitrary extra keys
+_SUBMIT_BODY = st.fixed_dictionaries({}, optional={
+    "group": st.sampled_from(["group1-entry-and-mode", "no-such-group"])
+    | _JSON,
+    "config": st.just({}) | _JSON,
+    "name": _JSON,
+    "options": st.dictionaries(
+        st.sampled_from(_ALLOWED_OPTIONS + ("successor_cache", "bogus")),
+        _JSON | st.sampled_from(["dfs", "exact", "codegen", "locality",
+                                 "clean", "sequential"]),
+        max_size=4) | _JSON,
+    "properties": st.lists(st.sampled_from(["P06", "NOPE"]) | _JSON,
+                           max_size=3) | _JSON,
+    "sources": st.dictionaries(st.text(max_size=6), _GROOVY | _JSON,
+                               max_size=2) | _JSON,
+    "failures": _JSON,
+    "all_properties": _JSON,
+    "priority": _JSON,
+    "wait": _JSON,
+}).flatmap(lambda body: st.dictionaries(st.text(max_size=6), _JSON,
+                                        max_size=2).map(
+    lambda extra: dict(extra, **body)))
+
+
+class TestSubmitFuzzing:
+    def test_oversized_bitstate_field_is_400(self, idle_service_client):
+        # on a server that ran it, 2**40 bits would be a 128 GiB field
+        with pytest.raises(ServiceError) as excinfo:
+            idle_service_client.submit({
+                "group": "group1-entry-and-mode",
+                "options": {"visited": "bitstate-k", "bitstate_bits": 40}})
+        assert excinfo.value.status == 400
+
+    @settings(max_examples=200, deadline=None)
+    @given(body=_SUBMIT_BODY)
+    def test_any_json_object_gets_2xx_or_4xx(self, idle_service_client,
+                                            body):
+        try:
+            idle_service_client.submit(body)
+        except ServiceError as exc:
+            assert 400 <= exc.status < 500, (body, str(exc))
+
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,7 @@ _DEPTH5_SCRIPT = textwrap.dedent("""
     result = execute_job_inline(VerificationJob(
         "group1", GROUP_BUILDERS["group1-entry-and-mode"](),
         EngineOptions(max_events=5, max_states=2_000_000, visited="spill",
-                      successor_cache=False, spill_dir=sys.argv[1]),
+                      spill_dir=sys.argv[1]),
         strict=False))
     assert not result.truncated, result.truncated_reason
     print(result.states_explored,
